@@ -12,11 +12,16 @@ from repro.experiments.figures import fig11
 
 
 def test_fig11(benchmark, evaluation_bundle):
-    result = benchmark(
+    # One round: each call retrains three CNNs (~50 s).
+    result = benchmark.pedantic(
         fig11.generate,
-        evaluation_bundle.runner,
-        evaluation_bundle.combinations[:1],
-        evaluation_bundle.config,
+        args=(
+            evaluation_bundle.runner,
+            evaluation_bundle.combinations[:1],
+            evaluation_bundle.config,
+        ),
+        rounds=1,
+        iterations=1,
     )
     vvd_means = {n: s.mean for n, s in result.vvd.items()}
     kalman_means = [s.mean for s in result.kalman.values()]

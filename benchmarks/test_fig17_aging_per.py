@@ -9,7 +9,9 @@ from repro.experiments.figures import fig17
 
 
 def test_fig17(benchmark, evaluation_bundle):
-    result = benchmark(fig17.generate, evaluation_bundle)
+    result = benchmark.pedantic(
+        fig17.generate, args=(evaluation_bundle,), rounds=1, iterations=1
+    )
     genie_delta = result.genie_per[-1] - result.genie_per[0]
     vvd_delta = abs(result.vvd_per[-1] - result.vvd_per[0])
     assert genie_delta >= 0

@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .. import faults
+from .. import blas, faults
 from ..config import SimulationConfig
 from ..dataset.generator import (
     _generate_set_task,
@@ -358,7 +358,10 @@ class DatasetCache:
         ):
             if workers is not None and workers > 1 and len(missing) > 1:
                 pool_size = min(workers, len(missing))
-                with ProcessPoolExecutor(max_workers=pool_size) as pool:
+                # Forked workers inherit the one BLAS thread held here.
+                with blas.single_threaded(), ProcessPoolExecutor(
+                    max_workers=pool_size
+                ) as pool:
                     for measurement_set in pool.map(
                         _generate_set_task,
                         [config] * len(missing),

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .. import faults
+from .. import blas, faults
 from ..config import SimulationConfig
 from ..obs import log, metrics as obs_metrics, trace
 from ..dataset.sets import rotating_set_combinations
@@ -476,7 +476,10 @@ class Campaign:
         dependencies are done is eligible at once, steps carrying a
         :attr:`CampaignStep.worker` job factory execute in child
         processes (survivable: a crashed or hung worker costs one
-        attempt, never the scheduler), and the rest run inline.
+        attempt, never the scheduler), and the rest run inline.  Every
+        run, serial or not, computes on one BLAS thread
+        (:func:`repro.blas.single_threaded`), which forked workers
+        inherit.
         Per-step journal entries and kill-resume semantics are
         identical to the serial path.  Step payloads must be
         deterministic; given that, a campaign's outputs are
@@ -491,7 +494,8 @@ class Campaign:
             campaign=self.name,
             steps=len(self._order),
             jobs=jobs,
-        ):
+        ) as span, blas.single_threaded() as threads:
+            span.set("blas_threads", threads)
             if jobs <= 1:
                 result = self._run_serial(context, policy, quarantine)
             else:

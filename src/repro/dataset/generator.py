@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import blas
 from ..channel import IndoorEnvironment, build_walkers
 from ..channel.noise import awgn, noise_power_for_snr
 from ..config import SimulationConfig
@@ -266,6 +267,7 @@ def _process_packets_batch(
             record.preamble_metric = float(metrics[row])
 
 
+@blas.single_threaded()
 def generate_measurement_set(
     components: SimulationComponents,
     set_index: int,
@@ -276,7 +278,9 @@ def generate_measurement_set(
     ``engine="batch"`` (default) runs the vectorized PHY engine;
     ``engine="scalar"`` keeps the original per-packet loop.  Both produce
     equivalent sets (identical seeds/trajectories, estimates matching to
-    numerical precision).
+    numerical precision).  Runs on one BLAS thread
+    (:func:`repro.blas.single_threaded`), so a set's bits do not depend
+    on which process generates it.
     """
     if engine not in ("batch", "scalar"):
         raise ConfigurationError(
@@ -454,7 +458,10 @@ def generate_dataset(
     num_sets = config.dataset.num_sets
     if workers is not None and workers > 1 and num_sets > 1:
         pool_size = min(workers, num_sets)
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        # Forked workers inherit the one BLAS thread held here.
+        with blas.single_threaded(), ProcessPoolExecutor(
+            max_workers=pool_size
+        ) as pool:
             sets = list(
                 pool.map(
                     _generate_set_task,

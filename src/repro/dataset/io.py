@@ -61,11 +61,17 @@ def save_measurement_set(measurement_set: MeasurementSet, path) -> None:
 
 
 def load_measurement_set(path) -> MeasurementSet:
-    """Inverse of :func:`save_measurement_set`."""
+    """Inverse of :func:`save_measurement_set`.
+
+    Each ``.npz`` member is decompressed once (indexing the lazy
+    ``NpzFile`` inside the packet loop would decompress the whole
+    member again per packet) and the file is closed before returning.
+    """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"no such measurement set file: {path}")
-    data = np.load(str(path))
+    with np.load(str(path)) as npz:
+        data = {name: npz[name] for name in npz.files}
     num_packets = len(data["sequence_number"])
     packets = []
     for i in range(num_packets):

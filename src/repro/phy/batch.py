@@ -21,6 +21,7 @@ per-packet noise is drawn from the identical per-seed generators, so the
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -65,7 +66,10 @@ class BatchPhyEngine:
     def __init__(self, transmitter, num_taps: int) -> None:
         if num_taps < 1:
             raise ShapeError(f"num_taps must be >= 1, got {num_taps}")
-        self.transmitter = transmitter
+        # Weak: the transmitter caches this engine (``batch_engines``),
+        # and a strong back-reference would keep both, with the
+        # transmitter's packet LRU, alive until a full collection.
+        self._transmitter = weakref.proxy(transmitter)
         self.num_taps = int(num_taps)
         self.samples_per_chip = transmitter.phy.samples_per_chip
         template = transmitter.transmit(_TEMPLATE_SEQUENCE)
@@ -131,7 +135,7 @@ class BatchPhyEngine:
             self._delta_cache.move_to_end(sequence_number)
             return cached
         chips = np.asarray(
-            self.transmitter.frame_chips(sequence_number)
+            self._transmitter.frame_chips(sequence_number)
         )
         changed = np.nonzero(chips != self._template_chips)[0]
         if changed.size == 0:
@@ -370,13 +374,13 @@ class BatchPhyEngine:
 
 
 def get_batch_engine(transmitter, num_taps: int) -> BatchPhyEngine:
-    """Fetch (or lazily build) the batch engine cached on a transmitter."""
-    engines = getattr(transmitter, "_batch_engines", None)
-    if engines is None:
-        engines = {}
-        transmitter._batch_engines = engines
-    engine = engines.get(num_taps)
+    """Fetch (or lazily build) the batch engine cached on a transmitter.
+
+    The engine lives in ``transmitter.batch_engines`` and refers back to
+    its transmitter only weakly, so dropping the transmitter frees both.
+    """
+    engine = transmitter.batch_engines.get(num_taps)
     if engine is None:
         engine = BatchPhyEngine(transmitter, num_taps)
-        engines[num_taps] = engine
+        transmitter.batch_engines[num_taps] = engine
     return engine

@@ -48,6 +48,9 @@ class Transmitter:
         )
         self._cache_size = max(1, cache_size)
         self._cache: OrderedDict[int, TransmittedPacket] = OrderedDict()
+        #: Batch engines built on this transmitter, keyed by channel
+        #: order (:func:`repro.phy.batch.get_batch_engine`).
+        self.batch_engines: dict = {}
         # The SHR+PHR prefix never changes; cache its clean waveform for
         # the receiver's synchronization and detection reference.
         template = self.transmit(0)

@@ -1,5 +1,7 @@
 """Tests for measurement-set persistence."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,30 @@ class TestRoundTrip:
         assert len(paths) == len(tiny_dataset)
         loaded = load_dataset(tmp_path / "campaign")
         assert [s.index for s in loaded] == [s.index for s in tiny_dataset]
+
+    def test_load_reads_each_member_once_and_closes(
+        self, tiny_dataset, tmp_path, monkeypatch
+    ):
+        """A load decompresses each npz member at most once (not once
+        per packet) and leaves no file descriptor open."""
+        from numpy.lib.npyio import NpzFile
+
+        path = tmp_path / "set.npz"
+        save_measurement_set(tiny_dataset[0], path)
+        reads: dict[str, int] = {}
+        original = NpzFile.__getitem__
+
+        def counted(npz, key):
+            reads[key] = reads.get(key, 0) + 1
+            return original(npz, key)
+
+        monkeypatch.setattr(NpzFile, "__getitem__", counted)
+        fds_before = set(os.listdir("/proc/self/fd"))
+        loaded = load_measurement_set(path)
+        fds_after = set(os.listdir("/proc/self/fd"))
+        assert loaded.num_packets == tiny_dataset[0].num_packets > 1
+        assert reads and max(reads.values()) == 1, reads
+        assert fds_after <= fds_before
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError):

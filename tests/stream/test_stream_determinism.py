@@ -3,7 +3,7 @@
 The acceptance contract of the streaming subsystem: one (scenario, seed,
 policy) tuple produces byte-identical campaign payloads no matter how
 often the campaign runs, in which directory, or how many worker
-processes generated the underlying datasets.
+processes generated the underlying datasets or simulated the policies.
 """
 
 import json
@@ -18,7 +18,7 @@ from repro.campaign.scenario import get_scenario
 _POLICIES = ["proactive", "reactive", "genie"]
 
 
-def _run_campaign(config, directory, workers, model_dir):
+def _run_campaign(config, directory, workers, model_dir, jobs=1):
     options = {
         "links": 2,
         "slots": 20,
@@ -39,7 +39,7 @@ def _run_campaign(config, directory, workers, model_dir):
         options=options,
         checkpoints=ModelCheckpointRegistry(model_dir),
     )
-    campaign.run(context)
+    campaign.run(context, jobs=jobs)
     return {
         name: context.read_output(f"stream@{name}")
         for name in _POLICIES
@@ -73,6 +73,19 @@ class TestStreamDeterminism:
                 f"policy {name!r} metrics differ between serial and "
                 f"workers=2 runs"
             )
+
+    def test_metrics_bit_identical_across_jobs(
+        self, payload_runs, tmp_path
+    ):
+        """Policies simulated in forked workers (``--jobs 2``) match
+        the serial run: workers compute on the same BLAS thread count
+        as the parent."""
+        serial, _ = payload_runs
+        config = get_scenario("stream-smoke").resolve()
+        parallel = _run_campaign(
+            config, tmp_path / "jobs", None, tmp_path / "models", jobs=2
+        )
+        assert parallel == serial
 
     def test_repeat_run_replays_identical_payloads(
         self, payload_runs, tmp_path

@@ -6,6 +6,9 @@ counterpart over randomized packets, and the seeded-noise replay
 contract of ``synthesize_received`` is pinned down explicitly.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -204,6 +207,21 @@ class TestPhyBatchPaths:
                 mode="full",
             )
             assert np.allclose(estimates[i], scalar, atol=TOL)
+
+    def test_dropped_components_free_transmitter_without_gc(self):
+        """The engine cached on a transmitter holds it only weakly, so
+        its packet LRU is freed by reference counting alone."""
+        components = build_components(SimulationConfig.tiny())
+        records = generate_measurement_set(components, 0).packets[:4]
+        synthesize_received_batch(components, records)
+        assert components.transmitter.batch_engines
+        transmitter = weakref.ref(components.transmitter)
+        gc.disable()
+        try:
+            del components
+            assert transmitter() is None
+        finally:
+            gc.enable()
 
     def test_batched_preamble_ls_matches_scalar(
         self, tiny_components, packet_batch

@@ -4,7 +4,7 @@ Building the evaluation bundle (dataset simulation + VVD training + the
 ten-technique decode over Table 2 combinations) dominates the cost of the
 figure benchmarks, so it is built once per session and shared; each bench
 then times its figure's aggregation step and prints the regenerated
-table so the output can be compared against the paper (EXPERIMENTS.md).
+table so the output can be compared against the paper.
 
 Environment knobs:
 

@@ -4,8 +4,7 @@
 2. With vs without batch normalization (paper: no benefit, slower).
 3. ZF vs MMSE equalization (paper leaves MMSE as future work).
 
-These are timing benches over one training epoch / equalizer design;
-quality comparisons live in EXPERIMENTS.md.
+These are timing benches over one training epoch / equalizer design.
 """
 
 import numpy as np

@@ -18,8 +18,9 @@ Quickstart::
     result = runner.run_combination(combo, build_full_suite(config))
     print({n: r.per for n, r in result.techniques.items()})
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See docs/ARCHITECTURE.md ("Module map") for the system inventory and
+README.md ("Tests and benchmarks") for the benches that regenerate every
+table and figure.
 """
 
 from .config import (

@@ -1,6 +1,7 @@
 """Indoor multipath wireless channel simulator.
 
-Substitutes the paper's measured laboratory channel (see DESIGN.md):
+Substitutes the paper's measured laboratory channel (docs/ARCHITECTURE.md,
+"Module map"):
 
 - :mod:`repro.channel.geometry` — vector helpers, wall reflections
   (image method), segment/point clearances.

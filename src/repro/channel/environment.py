@@ -1,7 +1,7 @@
 """The indoor environment: human position -> complex channel impulse
 response.
 
-This is the physical core of the dataset substitution (DESIGN.md): the
+This is the physical core of the dataset substitution: the
 CIR is a deterministic function of the room geometry and the human's
 position, exactly the property the paper's hypotheses (Sec. 2.2) assert —
 mobility changes MPC amplitude/phase; identical displacement yields
@@ -78,8 +78,7 @@ class IndoorEnvironment:
         # spatial scale: with reduced-scale campaigns the training set
         # cannot sample positions at the true 12 cm carrier wavelength, so
         # the phase gradient is stretched to keep the image -> CIR mapping
-        # as resolvable as it was at the paper's dataset density
-        # (DESIGN.md, substitutions).
+        # as resolvable as it was at the paper's dataset density.
         human_path = human_scatter_path(
             self.room,
             self.channel.human_phase_wavelength_m,

@@ -2,7 +2,8 @@
 
 The dataset stores per-packet noise seeds instead of raw waveforms; the
 evaluation re-synthesizes identical noise realizations on demand, keeping
-memory bounded (DESIGN.md, dataset substitution).
+memory bounded (docs/ARCHITECTURE.md, "Batch-vs-scalar engine contract",
+item 3).
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The paper specifies: first Conv2D with 32 filters of 3x3, all average
 pools 2x2, a 256-neuron dense layer, a 22-neuron linear output (11 complex
 taps), ReLU activations after each convolution and the first dense layer.
-The intermediate layer widths are reconstructed as 32 -> 32 -> 64 (see
-DESIGN.md §5).  Max pooling and batch normalization are available for the
+The intermediate layer widths are reconstructed as 32 -> 32 -> 64.  Max
+pooling and batch normalization are available for the
 paper's ablations (both were evaluated and rejected in Sec. 4).
 """
 

@@ -33,7 +33,7 @@ class TrainedVVD:
     #: Per-pixel input standardization (mean/std over the training images).
     #: The room background dominates raw depth images; standardizing makes
     #: the human silhouette a high-contrast feature, which the small
-    #: reduced-scale training sets need (DESIGN.md §5).  ``None`` disables.
+    #: reduced-scale training sets need.  ``None`` disables.
     image_mean: np.ndarray | None = None
     image_std: np.ndarray | None = None
 

@@ -2,7 +2,7 @@
 
 Every module exposes ``generate(...)`` returning the figure's data and a
 ``render(...)`` producing the ASCII form printed by the benchmarks (see
-EXPERIMENTS.md for paper-vs-measured values).  ``stream_timeline`` is a
+README.md, "Tests and benchmarks").  ``stream_timeline`` is a
 post-paper figure: the closed-loop proactive-vs-reactive companion of
 Fig. 15, rendered by ``repro stream``.
 """

@@ -2,7 +2,7 @@
 
 The paper presents box plots over the 15 per-combination means; the
 benchmark harness prints the same five-number summaries as tables so the
-figures can be compared row by row (see EXPERIMENTS.md).
+figures can be compared row by row.
 """
 
 from __future__ import annotations

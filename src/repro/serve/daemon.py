@@ -8,6 +8,15 @@ call — so a grid submitted over REST produces byte-identical
 ``results.json``/records/reports to ``repro grid`` run by hand, and
 resubmitting a finished job is a pure replay over its manifest.
 
+One daemon owns its queue directory.  At start-up it requeues jobs
+orphaned by a crash and builds the queue's in-memory index from the
+records on disk.  Idle workers then park on a condition variable
+instead of polling: each submission that creates work wakes one of
+them, and :meth:`ReproDaemon.stop` wakes them all to exit.  A worker
+checks the in-memory index before it claims, so an idle daemon makes
+no claims at all.  Responses go out with Nagle's algorithm off, so a
+small body is never held back waiting for the client's delayed ACK.
+
 REST surface (all JSON unless noted)::
 
     POST   /v1/jobs                     submit {kind, spec, options, priority}
@@ -55,9 +64,6 @@ from .queue import (
     JobQueue,
 )
 
-#: How long an idle worker sleeps between queue polls, seconds.
-_POLL_INTERVAL_S = 0.1
-
 
 class ReproDaemon:
     """The campaign service: HTTP front, persistent queue, workers."""
@@ -86,6 +92,9 @@ class ReproDaemon:
         self.verbose = verbose
         self.queue = JobQueue(self.cache.root / "jobs")
         self._stop = threading.Event()
+        #: Parks idle workers; notified once per work-creating
+        #: submission and for all workers by :meth:`stop`.
+        self._wake = threading.Condition()
         self._server: ThreadingHTTPServer | None = None
         self._http_thread: threading.Thread | None = None
         self._workers: list[threading.Thread] = []
@@ -120,12 +129,19 @@ class ReproDaemon:
             worker.start()
 
     def request_stop(self) -> None:
-        """Ask the daemon to stop (signal-handler safe, returns fast)."""
+        """Ask the daemon to stop (signal-handler safe, returns fast).
+
+        It only sets the stop flag: parked workers are woken by
+        :meth:`stop`, because a signal handler that took the wake lock
+        could deadlock against the thread it interrupted.
+        """
         self._stop.set()
 
     def stop(self) -> None:
         """Stop accepting work and wait for in-flight jobs to finish."""
         self._stop.set()
+        with self._wake:
+            self._wake.notify_all()
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
@@ -201,6 +217,8 @@ class ReproDaemon:
             campaign_dir=str(handle.directory),
         )
         if created:
+            with self._wake:
+                self._wake.notify()
             log.info(
                 f"job {record.job_id} queued "
                 f"(kind={record.kind}, priority={record.priority})"
@@ -214,12 +232,17 @@ class ReproDaemon:
 
     # -- worker side ----------------------------------------------------
     def _worker_loop(self) -> None:
-        while not self._stop.is_set():
-            record = self.queue.claim_next(os.getpid())
-            if record is None:
-                self._stop.wait(_POLL_INTERVAL_S)
-                continue
-            self._execute(record)
+        while True:
+            # Checking and claiming under the wake lock means a woken
+            # worker never claims a job another worker just took.
+            with self._wake:
+                while not (self._stop.is_set() or self.queue.has_queued()):
+                    self._wake.wait()
+                if self._stop.is_set():
+                    return
+                record = self.queue.claim_next(os.getpid())
+            if record is not None:
+                self._execute(record)
 
     def _execute(self, record) -> None:
         log.info(f"job {record.job_id} started (kind={record.kind})")
@@ -325,6 +348,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
     daemon: ReproDaemon
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # Headers and body go out as two writes; with Nagle on, the body
+    # waits for the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
     def log_message(self, format: str, *args) -> None:
@@ -340,6 +366,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -356,17 +384,25 @@ class _RequestHandler(BaseHTTPRequestHandler):
             status, {"error": str(exc), "code": code}
         )
 
-    def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise ConfigurationError("request body must be JSON")
+    def _read_body(self) -> bytes:
+        """Consume the request body, whatever the route.
+
+        Called before routing, so a request that fails still leaves
+        the keep-alive stream at the start of the next request.  A
+        body whose length cannot be known ends the connection after
+        the 400 response.
+        """
+        raw = self.headers.get("Content-Length")
+        if raw is None:
+            return b""
         try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"request body is not valid JSON: {exc}"
-            ) from None
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ConfigurationError(f"invalid Content-Length {raw!r}")
+        return self.rfile.read(length)
 
     def _path_parts(self) -> list[str]:
         path = self.path.split("?", 1)[0]
@@ -376,6 +412,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:
         """Dispatch GET routes (healthz, job listing, job artifacts)."""
         try:
+            self._read_body()
             self._get(self._path_parts())
         except Exception as exc:
             self._send_error_for(exc)
@@ -383,11 +420,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:
         """Dispatch POST routes (job submission)."""
         try:
+            body = self._read_body()
             parts = self._path_parts()
             if parts == ["v1", "jobs"]:
-                record, created = self.daemon.submit(
-                    self._read_json_body()
-                )
+                record, created = self.daemon.submit(_parse_json(body))
                 self._send_json(
                     201 if created else 200,
                     {"job": record, "created": created},
@@ -400,6 +436,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def do_DELETE(self) -> None:
         """Dispatch DELETE routes (cancel / remove a job)."""
         try:
+            self._read_body()
             parts = self._path_parts()
             if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
                 self._send_json(200, self.daemon.delete_job(parts[2]))
@@ -471,6 +508,18 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._send_json(
             200, {"job_id": job_id, "results": handle.results()}
         )
+
+
+def _parse_json(body: bytes) -> dict:
+    """A submission body parsed as JSON; 400-mapped when it is not."""
+    if not body:
+        raise ConfigurationError("request body must be JSON")
+    try:
+        return json.loads(body)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ConfigurationError(
+            f"request body is not valid JSON: {exc}"
+        ) from None
 
 
 def _not_found(what: str) -> ReproError:

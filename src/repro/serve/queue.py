@@ -3,7 +3,18 @@
 One JSON file per job under ``<cache root>/jobs/``, guarded by the
 same :class:`~repro.campaign.locking.FileLock` + atomic-rename
 machinery the campaign manifests use, so the queue survives daemon
-kills exactly like campaigns survive step kills.
+kills exactly like campaigns survive step kills.  One daemon owns a
+queue directory.
+
+The records on disk are the source of truth.  Beside them the queue
+keeps an in-memory index of its queued jobs' claim keys
+``(-priority, submitted_at, job_id)``, built from disk once (by
+:meth:`JobQueue.recover` at daemon start-up, or lazily on first use)
+and updated by every record the queue writes.  A claim picks the best
+key in memory and reads and re-checks only that record, so its cost
+does not grow with the finished jobs a long-lived daemon accumulates.
+Transitions take a thread lock before the file lock, so the daemon's
+threads block on each other instead of polling the file lock.
 
 The job id IS the campaign directory basename
 (:func:`repro.api.campaign_dir` — a stable hash of the spec), which
@@ -24,7 +35,9 @@ re-executing completed steps.
 from __future__ import annotations
 
 import json
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -107,11 +120,20 @@ class JobRecord:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
+def _claim_key(record: JobRecord) -> tuple:
+    """Claim order: highest priority, then oldest submission, then id."""
+    return (-record.priority, record.submitted_at, record.job_id)
+
+
 class JobQueue:
     """Persistent, lock-guarded queue of :class:`JobRecord` files."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        self._mutex = threading.Lock()
+        #: job id -> claim key of every queued job, mirroring the
+        #: records on disk; ``None`` until first built from them.
+        self._queued: dict[str, tuple] | None = None
 
     @property
     def lock_path(self) -> Path:
@@ -133,6 +155,29 @@ class JobQueue:
                 sort_keys=True,
             ),
         )
+        self._track(record)
+
+    def _track(self, record: JobRecord) -> None:
+        """Mirror a just-saved record into the queued index."""
+        if self._queued is None:
+            return  # not built yet; the build reads this record
+        if record.state == JOB_QUEUED:
+            self._queued[record.job_id] = _claim_key(record)
+        else:
+            self._queued.pop(record.job_id, None)
+
+    def _index(self) -> dict[str, tuple]:
+        """The queued index, built from disk on first use."""
+        if self._queued is None:
+            self._rebuild(self._iter_records())
+        return self._queued
+
+    def _rebuild(self, records) -> None:
+        self._queued = {
+            record.job_id: _claim_key(record)
+            for record in records
+            if record.state == JOB_QUEUED
+        }
 
     def _load(self, path: Path) -> JobRecord | None:
         try:
@@ -143,9 +188,17 @@ class JobQueue:
             return None
         return JobRecord.from_dict(data.get("job", {}))
 
-    def _lock(self) -> FileLock:
-        self.root.mkdir(parents=True, exist_ok=True)
-        return FileLock(self.lock_path)
+    @contextmanager
+    def _locked(self):
+        """Serialize a transition: the thread lock, then the file lock.
+
+        The thread lock comes first so the daemon's own threads wait
+        on each other here, never in the file lock's sleep-poll loop.
+        """
+        with self._mutex:
+            self.root.mkdir(parents=True, exist_ok=True)
+            with FileLock(self.lock_path):
+                yield
 
     # -- submission -----------------------------------------------------
     def submit(
@@ -165,7 +218,7 @@ class JobQueue:
         requeues it under the same id — the campaign manifest makes
         that a pure replay.
         """
-        with self._lock():
+        with self._locked():
             existing = self._load(self._job_path(job_id))
             now = time.time()
             if existing is not None and existing.state in ACTIVE_STATES:
@@ -209,31 +262,38 @@ class JobQueue:
         """Atomically claim the best queued job (``None`` when idle).
 
         Ordering: highest priority first, then oldest submission, then
-        job id — deterministic, so two daemons sharing one queue
-        directory drain it in one agreed order.
+        job id.  The best key comes from the in-memory index; only that
+        job's record is read, and it is re-checked against the index
+        before the claim — if the disk disagrees, the disk wins and the
+        index is rebuilt from it.
         """
-        with self._lock():
-            queued = [
-                record
-                for record in self._iter_records()
-                if record.state == JOB_QUEUED
-            ]
-            if not queued:
-                return None
-            queued.sort(
-                key=lambda r: (-r.priority, r.submitted_at, r.job_id)
-            )
-            record = queued[0]
-            record.state = JOB_RUNNING
-            record.detail = "claimed by worker"
-            record.started_at = time.time()
-            record.pid = pid
-            self._save(record)
-            return record
+        with self._locked():
+            while self._index():
+                key = min(self._queued.values())
+                record = self._load(self._job_path(key[2]))
+                if (
+                    record is None
+                    or record.state != JOB_QUEUED
+                    or _claim_key(record) != key
+                ):
+                    self._queued = None  # rebuilt by the next _index()
+                    continue
+                record.state = JOB_RUNNING
+                record.detail = "claimed by worker"
+                record.started_at = time.time()
+                record.pid = pid
+                self._save(record)
+                return record
+            return None
+
+    def has_queued(self) -> bool:
+        """Whether a job waits to be claimed (no disk read once built)."""
+        with self._mutex:
+            return bool(self._index())
 
     def mark(self, job_id: str, state: str, **updates) -> JobRecord:
         """Record a state transition (plus any field updates)."""
-        with self._lock():
+        with self._locked():
             record = self._load(self._job_path(job_id))
             if record is None:
                 raise NotFoundError(f"unknown job {job_id!r}")
@@ -246,13 +306,15 @@ class JobQueue:
     def recover(self) -> list[str]:
         """Requeue jobs orphaned ``running`` by a dead daemon.
 
-        Called once at daemon startup, before workers spawn.  The
-        relaunched job resumes from the campaign manifest: completed
-        steps replay from the journal, only unfinished work executes.
+        Called once at daemon startup, before workers spawn; the same
+        scan (re)builds the queued index.  The relaunched job resumes
+        from the campaign manifest: completed steps replay from the
+        journal, only unfinished work executes.
         """
         requeued = []
-        with self._lock():
-            for record in self._iter_records():
+        with self._locked():
+            records = list(self._iter_records())
+            for record in records:
                 if record.state != JOB_RUNNING:
                     continue
                 record.state = JOB_QUEUED
@@ -261,6 +323,7 @@ class JobQueue:
                 record.pid = None
                 self._save(record)
                 requeued.append(record.job_id)
+            self._rebuild(records)
         return sorted(requeued)
 
     # -- client side ----------------------------------------------------
@@ -279,7 +342,7 @@ class JobQueue:
 
     def cancel(self, job_id: str) -> JobRecord:
         """Cancel a queued job; running/finished jobs refuse."""
-        with self._lock():
+        with self._locked():
             record = self._load(self._job_path(job_id))
             if record is None:
                 raise NotFoundError(f"unknown job {job_id!r}")
@@ -299,7 +362,7 @@ class JobQueue:
 
     def delete(self, job_id: str) -> None:
         """Remove a finished job's record (campaign artifacts stay)."""
-        with self._lock():
+        with self._locked():
             record = self._load(self._job_path(job_id))
             if record is None:
                 raise NotFoundError(f"unknown job {job_id!r}")
@@ -321,6 +384,8 @@ class JobQueue:
         if not self.root.is_dir():
             return
         for path in sorted(self.root.glob("*.json")):
+            if path.name.startswith(".tmp_"):
+                continue  # an atomic write in flight, or a killed one
             record = self._load(path)
             if record is not None:
                 yield record

@@ -2,7 +2,7 @@
 
 The measurement pipeline downsamples 720x1080 ZED frames by 10 to 72x108
 and crops the static margins to a 50x90 CNN input.  The simulator renders
-natively at 72x108 (see DESIGN.md), but the 720p path is implemented and
+natively at 72x108, but the 720p path is implemented and
 tested so real footage could be substituted.
 """
 

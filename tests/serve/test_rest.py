@@ -8,6 +8,9 @@ PHY generation, no training).
 
 from __future__ import annotations
 
+import http.client
+import json
+
 import pytest
 
 from repro.api import CapacityJob
@@ -130,6 +133,18 @@ class TestErrorStatuses:
             urllib.request.urlopen(req, timeout=10)
         assert info.value.code == 400
 
+    def test_non_utf8_body_is_400(self, daemon):
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", daemon.port, timeout=10
+        )
+        try:
+            conn.request("POST", "/v1/jobs", body=b"\xff{")
+            response = conn.getresponse()
+            assert response.status == 400
+            assert json.loads(response.read())["code"] == "invalid"
+        finally:
+            conn.close()
+
     def test_delete_finished_job_removes_record(self, client):
         job_id = client.submit(CAPACITY).json()["job"]["job_id"]
         client.wait(job_id, timeout=60)
@@ -150,3 +165,49 @@ class TestListing:
         job_id = client.submit(CAPACITY).json()["job"]["job_id"]
         listing = client.jobs().json()["jobs"]
         assert [job["job_id"] for job in listing] == [job_id]
+
+
+class TestKeepAlive:
+    """Request framing on one persistent ``http.client`` connection."""
+
+    @pytest.fixture
+    def conn(self, daemon):
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", daemon.port, timeout=10
+        )
+        yield conn
+        conn.close()
+
+    @staticmethod
+    def _exchange(conn, method, path, body=None, headers=None):
+        conn.request(method, path, body=body, headers=headers or {})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+
+    @pytest.mark.parametrize(
+        "method, path",
+        [("POST", "/v1/nope"), ("GET", "/v1/nope"), ("DELETE", "/v1/nope")],
+    )
+    def test_failed_request_consumes_its_body(self, conn, method, path):
+        status, payload = self._exchange(
+            conn, method, path, body=json.dumps(CAPACITY).encode()
+        )
+        assert status == 404
+        assert payload["code"] == "not_found"
+        status, payload = self._exchange(conn, "GET", "/v1/healthz")
+        assert status == 200
+        assert payload["status"] == "ok"
+
+    def test_non_integer_content_length_is_400(self, conn):
+        status, payload = self._exchange(
+            conn,
+            "POST",
+            "/v1/jobs",
+            body=b"{}",
+            headers={"Content-Length": "two"},
+        )
+        assert status == 400
+        assert payload["code"] == "invalid"
+        status, payload = self._exchange(conn, "GET", "/v1/healthz")
+        assert status == 200
+        assert payload["status"] == "ok"

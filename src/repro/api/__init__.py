@@ -42,7 +42,6 @@ from .facade import (
     prepare,
     run_campaign,
     self_healing_lines,
-    submit_grid,
 )
 from .jobs import (
     JOB_KINDS,
@@ -77,7 +76,6 @@ __all__ = [
     # facade
     "prepare",
     "run_campaign",
-    "submit_grid",
     "CampaignHandle",
     "RunOptions",
     "campaign_dir",

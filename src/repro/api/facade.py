@@ -1037,21 +1037,3 @@ def run_campaign(
         verbose=verbose,
     )
     return handle.run(options)
-
-
-def submit_grid(
-    spec: GridJob,
-    *,
-    cache_dir: str | None = None,
-    model_dir: str | None = None,
-    workers: int | None = None,
-    verbose: bool = False,
-) -> CampaignHandle:
-    """Prepare a grid campaign (convenience alias of :func:`prepare`)."""
-    return prepare(
-        spec,
-        cache_dir=cache_dir,
-        model_dir=model_dir,
-        workers=workers,
-        verbose=verbose,
-    )

@@ -27,9 +27,9 @@ restartable system (see docs/ARCHITECTURE.md):
   :class:`ResultsStore` (records keyed by grid coordinates).
 - :mod:`repro.campaign.locking` — the cross-process :class:`FileLock`
   guarding index mutation under the parallel executor.
-- :mod:`repro.campaign.runner` — campaign DAG execution (serial or
-  topological-wavefront parallel) and the sweep / figure / train /
-  stream step builders.
+- :mod:`repro.campaign.runner` — campaign DAG execution (one
+  topological-wavefront executor for every ``--jobs`` value) and the
+  sweep / figure / train / stream step builders.
 - :mod:`repro.campaign.cli` — the ``repro`` / ``python -m repro``
   command line.
 """

@@ -43,8 +43,10 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -161,9 +163,10 @@ class CampaignStep:
     #: Optional process-pool job factory: given the context, returns a
     #: picklable ``(fn, kwargs)`` pair (``fn`` a module-level function
     #: returning the step's payload string).  Steps with a worker run
-    #: concurrently under :meth:`Campaign.run` with ``jobs > 1``; steps
-    #: without one (reports, in-process-memoized bodies) run inline in
-    #: the scheduler once their dependencies complete.
+    #: concurrently in supervised processes under :meth:`Campaign.run`
+    #: with ``jobs > 1`` or a step timeout, and inline through ``run``
+    #: otherwise; steps without one (reports, in-process-memoized
+    #: bodies) always run inline in the scheduler.
     worker: Callable[[CampaignContext], tuple] | None = None
     #: Under a quarantining run, execute this step even when some of
     #: its dependencies were quarantined (report steps render partial
@@ -288,6 +291,14 @@ def _supervised_entry(
                 handle,
             )
     os.replace(tmp, result_path)
+
+
+#: Serializes worker starts across the threads of one process (the
+#: slots of ``repro serve``).  A fork copies every open descriptor,
+#: including the write end of a sentinel pipe that a concurrent
+#: ``Process.start`` has not closed yet; that copy keeps the other
+#: worker's sentinel silent until the forked worker exits.
+_START_LOCK = threading.Lock()
 
 
 def _mp_context():
@@ -471,24 +482,25 @@ class Campaign:
         the ids land in :attr:`CampaignResult.quarantined` /
         :attr:`CampaignContext.quarantined`.
 
-        ``jobs > 1`` schedules the DAG as a topological wavefront over
-        supervised worker processes: every pending step whose
-        dependencies are done is eligible at once, steps carrying a
-        :attr:`CampaignStep.worker` job factory execute in child
-        processes (survivable: a crashed or hung worker costs one
-        attempt, never the scheduler), and the rest run inline.  Every
-        run, serial or not, computes on one BLAS thread
-        (:func:`repro.blas.single_threaded`), which forked workers
-        inherit.
-        Per-step journal entries and kill-resume semantics are
-        identical to the serial path.  Step payloads must be
-        deterministic; given that, a campaign's outputs are
-        byte-identical for every ``jobs`` value — and, because faults
-        only ever cost attempts, for every fault plan it survives.
+        One executor serves every ``jobs`` value: a topological
+        wavefront that starts ready steps in topological rank.  Steps
+        carrying a :attr:`CampaignStep.worker` job factory execute in
+        supervised child processes, at most ``jobs`` at once, when
+        ``jobs > 1`` or the policy sets a timeout (survivable: a
+        crashed or hung worker costs one attempt, never the
+        scheduler); every other step runs inline.  So a fault-free
+        ``jobs=1`` run executes in topological order and forks
+        nothing.  A step waiting out a retry backoff does not hold up
+        independent ready steps, and a dependent of a quarantined step
+        is fenced as soon as that step is.  Every run computes on one
+        BLAS thread (:func:`repro.blas.single_threaded`), which forked
+        workers inherit.  Step payloads must be deterministic; given
+        that, a campaign's outputs are byte-identical for every
+        ``jobs`` value — and, because faults only ever cost attempts,
+        for every fault plan it survives.
         """
         if not resume:
             self.manifest.reset()
-        policy = retry or _SINGLE_ATTEMPT
         with trace.span(
             "campaign.run",
             campaign=self.name,
@@ -496,12 +508,9 @@ class Campaign:
             jobs=jobs,
         ) as span, blas.single_threaded() as threads:
             span.set("blas_threads", threads)
-            if jobs <= 1:
-                result = self._run_serial(context, policy, quarantine)
-            else:
-                result = self._run_parallel(
-                    context, jobs, policy, quarantine
-                )
+            result = _Wavefront(
+                self, context, jobs, retry or _SINGLE_ATTEMPT, quarantine
+            ).execute()
         self._export_telemetry(context, result)
         return result
 
@@ -525,151 +534,149 @@ class Campaign:
         )
         registry.write(self.directory)
 
-    def _skip_or_pend(
-        self, context: CampaignContext, result: CampaignResult
-    ) -> list[CampaignStep]:
-        """Partition steps into resumed (recorded) and still-pending.
+
+class _Wavefront:
+    """The executor of one :meth:`Campaign.run` call.
+
+    Ready steps (every pending dependency done) start in
+    ``_topological_order`` rank.  A worker-backed step runs in a
+    supervised child process when ``jobs > 1`` or the retry policy
+    carries a timeout, at most ``jobs`` at once; every other step runs
+    inline in the scheduler through ``step.run``, where the
+    ``step.body`` fault site fires.  With nothing to start, the
+    scheduler blocks on its workers' exit sentinels until one exits or
+    the nearest retry or attempt deadline falls due.
+
+    The run's state lives on this object and its methods reach each
+    other through ``self``, so it forms no reference cycle with the
+    context: ``context.shared`` memos die with the caller's last
+    reference to the context, not at the next cyclic collection.
+    """
+
+    def __init__(
+        self,
+        campaign: Campaign,
+        context: CampaignContext,
+        jobs: int,
+        policy: RetryPolicy,
+        quarantine: bool,
+    ) -> None:
+        self.campaign = campaign
+        self.context = context
+        self.jobs = max(1, jobs)
+        #: Whether worker-backed steps fork; otherwise they run inline.
+        self.supervise = jobs > 1 or policy.timeout_s is not None
+        self.policy = policy
+        self.quarantine = quarantine
+        self.result = CampaignResult()
+        pending = [
+            step for step in campaign._order if not self._resumed(step)
+        ]
+        #: step id -> rank in the topological order.
+        self.rank = {step.step_id: i for i, step in enumerate(pending)}
+        #: step id -> its pending dependencies not yet finished.
+        self.blockers = {
+            step.step_id: {d for d in step.depends_on if d in self.rank}
+            for step in pending
+        }
+        self.dependents: dict[str, list[CampaignStep]] = {}
+        for step in pending:
+            for dep in self.blockers[step.step_id]:
+                self.dependents.setdefault(dep, []).append(step)
+        self.ready = [s for s in pending if not self.blockers[s.step_id]]
+        self.running: list[_WorkerJob] = []
+        #: step id -> (step, monotonic time its next attempt is due).
+        self.waiting: dict[str, tuple[CampaignStep, float]] = {}
+        self.attempts: dict[str, int] = {}
+
+    def _resumed(self, step: CampaignStep) -> bool:
+        """Skip a step the manifest records ``done`` with its output.
 
         A ``done`` step whose detail records a partial execution (a
         report rendered while some dependency was quarantined) is
         *not* resumed — the quarantined dependency re-runs this run,
         so the partial artifact must be rebuilt from complete inputs.
         """
-        pending: list[CampaignStep] = []
-        for step in self._order:
-            record = self.manifest.steps.get(step.step_id, {})
-            done = record.get("status") == STATUS_DONE
-            partial = str(record.get("detail", "")).startswith(
-                "partial:"
-            )
-            if (
-                done
-                and not partial
-                and context.output_path(step.step_id).exists()
-            ):
-                result.skipped.append(step.step_id)
-                if context.verbose:
-                    log.info(
-                        f"[{self.name}] {step.step_id}: resumed (done)"
-                    )
-            else:
-                pending.append(step)
-        return pending
-
-    def _complete_step(
-        self,
-        step: CampaignStep,
-        context: CampaignContext,
-        result: CampaignResult,
-        payload: str | None,
-    ) -> None:
-        """Persist a finished step's payload and journal ``done``.
-
-        A ``run_on_partial`` step that executed while some of its
-        dependencies sat in quarantine is journaled with a
-        ``partial:`` detail so the next run rebuilds it.
-        """
-        context.write_output(step.step_id, payload or "")
-        missing = sorted(set(step.depends_on) & context.quarantined)
-        detail = (
-            "partial: missing " + ", ".join(missing) if missing else ""
-        )
-        self.manifest.mark(step.step_id, STATUS_DONE, detail=detail)
-        result.executed.append(step.step_id)
-
-    def _mark_quarantined(
-        self,
-        step: CampaignStep,
-        detail: str,
-        context: CampaignContext,
-        result: CampaignResult,
-    ) -> None:
-        """Fence a step off for the rest of this run."""
-        self.manifest.mark(
-            step.step_id, STATUS_QUARANTINED, detail=detail
-        )
-        context.quarantined.add(step.step_id)
-        result.quarantined.append(step.step_id)
-        if context.verbose:
+        record = self.campaign.manifest.steps.get(step.step_id, {})
+        if (
+            record.get("status") != STATUS_DONE
+            or str(record.get("detail", "")).startswith("partial:")
+            or not self.context.output_path(step.step_id).exists()
+        ):
+            return False
+        self.result.skipped.append(step.step_id)
+        if self.context.verbose:
             log.info(
-                f"[{self.name}] {step.step_id}: quarantined ({detail})"
+                f"[{self.campaign.name}] {step.step_id}: resumed (done)"
             )
+        return True
 
-    def _journal_attempt(
-        self,
-        step_id: str,
-        attempt: int,
-        exc: BaseException,
-        action: str,
-        backoff_s: float = 0.0,
-    ) -> None:
-        """Append one entry to the step's manifest attempt history."""
-        self.manifest.record_attempt(
-            step_id,
-            {
-                "attempt": attempt,
-                "error": f"{type(exc).__name__}: {exc}",
-                "transient": is_transient(exc),
-                "action": action,
-                "backoff_s": round(backoff_s, 6),
-            },
-        )
+    def execute(self) -> CampaignResult:
+        """Run every pending step; on abort, reap in-flight workers.
 
-    def _classify_failure(
-        self,
-        step: CampaignStep,
-        exc: BaseException,
-        attempt: int,
-        result: CampaignResult,
-        policy: RetryPolicy,
-        quarantine: bool,
-    ) -> str:
-        """Journal a failed attempt and decide what happens next.
-
-        Returns ``"retry"`` (transient, budget left) or
-        ``"quarantine"``; when neither applies — permanent failure
-        without quarantining, exhausted budget without quarantining,
-        or a ``KeyboardInterrupt``/``SystemExit`` which always aborts —
-        the step is journaled ``failed`` and ``exc`` is re-raised.
+        Reaped workers' steps stay ``running`` in the manifest, exactly
+        like a killed run, so the next invocation re-executes them.
         """
-        fatal = isinstance(exc, (KeyboardInterrupt, SystemExit))
-        if not fatal and policy.should_retry(exc, attempt):
-            backoff = policy.backoff_s(step.step_id, attempt)
-            self._journal_attempt(
-                step.step_id, attempt, exc, "retry", backoff
-            )
-            trace.event(
-                "step.retry",
-                step=step.step_id,
-                attempt=attempt,
-                backoff_s=round(backoff, 6),
-                error=type(exc).__name__,
-            )
-            result.retried += 1
-            return "retry"
-        if not fatal and quarantine:
-            self._journal_attempt(
-                step.step_id, attempt, exc, "quarantine"
-            )
-            return "quarantine"
-        self._journal_attempt(step.step_id, attempt, exc, "fail")
-        self.manifest.mark(
-            step.step_id,
-            STATUS_FAILED,
-            detail=f"{type(exc).__name__}: {exc}",
-        )
-        raise exc
+        try:
+            while self.ready or self.running or self.waiting:
+                started = self._start_ready()
+                self._collect(block=not started)
+        except BaseException:
+            for job in self.running:
+                job._kill()
+            raise
+        return self.result
 
-    def _spawn(
-        self,
-        step: CampaignStep,
-        fn: Callable,
-        kwargs: dict,
-        attempt: int,
-        timeout_s: float | None,
-    ) -> _WorkerJob:
+    def _start_ready(self) -> bool:
+        """Start ready steps in rank order; True when any started.
+
+        Supervised steps start while a slot is free.  An inline step
+        runs to completion and ends the pass: what it unlocks may
+        outrank the steps behind it.
+        """
+        self.ready.sort(key=lambda step: self.rank[step.step_id])
+        started = False
+        for step in list(self.ready):
+            supervised = step.worker is not None and self.supervise
+            if supervised and len(self.running) >= self.jobs:
+                continue
+            self.ready.remove(step)
+            started = True
+            attempt = self.attempts.get(step.step_id, 0) + 1
+            self.attempts[step.step_id] = attempt
+            if attempt == 1:
+                self.campaign.manifest.mark(step.step_id, STATUS_RUNNING)
+            if self.context.verbose:
+                log.info(
+                    f"[{self.campaign.name}] {step.step_id}: "
+                    f"{step.description}"
+                )
+            if supervised:
+                self._spawn(step, attempt)
+                continue
+            try:
+                with trace.span(
+                    "step.attempt", step=step.step_id, attempt=attempt
+                ):
+                    faults.inject("step.body", step.step_id)
+                    payload = step.run(self.context)
+            except BaseException as exc:
+                self._fail(step, exc)
+            else:
+                self._complete(step, payload)
+            break
+        return started
+
+    def _spawn(self, step: CampaignStep, attempt: int) -> None:
         """Start one supervised worker process for a step attempt."""
-        scratch = self.directory / "scratch"
+        try:
+            # The job factory runs in the scheduler; its failures
+            # classify like any other attempt.
+            fn, kwargs = step.worker(self.context)
+        except BaseException as exc:
+            self._fail(step, exc)
+            return
+        scratch = self.campaign.directory / "scratch"
         scratch.mkdir(parents=True, exist_ok=True)
         safe = step.step_id.replace("/", "_")
         result_path = scratch / f"{safe}.attempt{attempt:02d}.pkl"
@@ -678,274 +685,149 @@ class Campaign:
             target=_supervised_entry,
             args=(fn, dict(kwargs), str(result_path), step.step_id),
         )
-        process.start()
-        deadline = (
-            time.monotonic() + timeout_s
-            if timeout_s is not None
-            else None
+        with _START_LOCK:
+            process.start()
+        timeout_s = self.policy.timeout_s
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        self.running.append(
+            _WorkerJob(step, attempt, process, result_path, deadline)
         )
-        return _WorkerJob(step, attempt, process, result_path, deadline)
 
-    def _attempt(
+    def _collect(self, block: bool) -> None:
+        """Requeue due retries and settle finished worker attempts.
+
+        With ``block``, first wait for a worker to exit or for the
+        nearest retry or attempt deadline, whichever comes first.
+        """
+        if block:
+            due = [when for _, when in self.waiting.values()] + [
+                job.deadline
+                for job in self.running
+                if job.deadline is not None
+            ]
+            multiprocessing.connection.wait(
+                [job.process.sentinel for job in self.running],
+                max(0.0, min(due) - time.monotonic()) if due else None,
+            )
+        now = time.monotonic()
+        for step_id, (step, when) in list(self.waiting.items()):
+            if when <= now:
+                del self.waiting[step_id]
+                self.ready.append(step)
+        for job in list(self.running):
+            outcome = job.outcome()
+            if outcome is None:
+                continue
+            self.running.remove(job)
+            status, value = outcome
+            if status == "ok":
+                self._complete(job.step, value)
+            else:
+                self._fail(job.step, value)
+
+    def _unlock(self, step_id: str) -> None:
+        """Release the dependents of a finished or fenced step.
+
+        A dependent whose last blocker cleared becomes ready, unless
+        one of its dependencies sits in quarantine: then it is fenced
+        too, at once (``run_on_partial`` steps run regardless).
+        """
+        for dependent in self.dependents.get(step_id, ()):
+            blockers = self.blockers[dependent.step_id]
+            blockers.discard(step_id)
+            if blockers:
+                continue
+            bad = sorted(set(dependent.depends_on) & self.context.quarantined)
+            if bad and not dependent.run_on_partial:
+                self._fence(
+                    dependent, "dependency quarantined: " + ", ".join(bad)
+                )
+            else:
+                self.ready.append(dependent)
+
+    def _complete(self, step: CampaignStep, payload: str | None) -> None:
+        """Persist a finished step's payload and journal ``done``.
+
+        A ``run_on_partial`` step that executed while some of its
+        dependencies sat in quarantine is journaled with a
+        ``partial:`` detail so the next run rebuilds it.
+        """
+        self.context.write_output(step.step_id, payload or "")
+        missing = sorted(set(step.depends_on) & self.context.quarantined)
+        detail = (
+            "partial: missing " + ", ".join(missing) if missing else ""
+        )
+        self.campaign.manifest.mark(step.step_id, STATUS_DONE, detail=detail)
+        self.result.executed.append(step.step_id)
+        self._unlock(step.step_id)
+
+    def _fence(self, step: CampaignStep, detail: str) -> None:
+        """Quarantine a step for the rest of this run."""
+        self.campaign.manifest.mark(
+            step.step_id, STATUS_QUARANTINED, detail=detail
+        )
+        self.context.quarantined.add(step.step_id)
+        self.result.quarantined.append(step.step_id)
+        if self.context.verbose:
+            log.info(
+                f"[{self.campaign.name}] {step.step_id}: "
+                f"quarantined ({detail})"
+            )
+        self._unlock(step.step_id)
+
+    def _fail(self, step: CampaignStep, exc: BaseException) -> None:
+        """Journal a failed attempt, then requeue, fence or re-raise.
+
+        A transient failure with budget left waits out its backoff in
+        ``waiting`` while independent steps go on.  A quarantining run
+        fences a step that is out of budget or failed permanently.
+        Otherwise — and always for ``KeyboardInterrupt``/``SystemExit``
+        — the step is journaled ``failed`` and ``exc`` propagates.
+        """
+        attempt = self.attempts[step.step_id]
+        fatal = isinstance(exc, (KeyboardInterrupt, SystemExit))
+        if not fatal and self.policy.should_retry(exc, attempt):
+            backoff = self.policy.backoff_s(step.step_id, attempt)
+            self._journal(step, exc, "retry", backoff)
+            trace.event(
+                "step.retry",
+                step=step.step_id,
+                attempt=attempt,
+                backoff_s=round(backoff, 6),
+                error=type(exc).__name__,
+            )
+            self.result.retried += 1
+            self.waiting[step.step_id] = (step, time.monotonic() + backoff)
+        elif not fatal and self.quarantine:
+            self._journal(step, exc, "quarantine")
+            self._fence(step, f"{type(exc).__name__}: {exc}")
+        else:
+            self._journal(step, exc, "fail")
+            self.campaign.manifest.mark(
+                step.step_id,
+                STATUS_FAILED,
+                detail=f"{type(exc).__name__}: {exc}",
+            )
+            raise exc
+
+    def _journal(
         self,
         step: CampaignStep,
-        context: CampaignContext,
-        policy: RetryPolicy,
-        attempt: int,
-    ) -> str | None:
-        """Execute one attempt of a step in-scheduler (blocking).
-
-        Worker-backed steps run supervised (killable) when the policy
-        carries a timeout; everything else runs inline, where the
-        ``step.body`` fault site fires.
-        """
-        if context.verbose:
-            log.info(
-                f"[{self.name}] {step.step_id}: {step.description}"
-            )
-        with trace.span(
-            "step.attempt", step=step.step_id, attempt=attempt
-        ):
-            if step.worker is not None and policy.timeout_s is not None:
-                fn, kwargs = step.worker(context)
-                job = self._spawn(
-                    step, fn, kwargs, attempt, policy.timeout_s
-                )
-                while True:
-                    outcome = job.outcome()
-                    if outcome is not None:
-                        break
-                    time.sleep(0.005)
-                status, value = outcome
-                if status == "error":
-                    raise value
-                return value
-            faults.inject("step.body", step.step_id)
-            return step.run(context)
-
-    def _run_serial(
-        self,
-        context: CampaignContext,
-        policy: RetryPolicy,
-        quarantine: bool,
-    ) -> CampaignResult:
-        """The sequential executor (``jobs=1``): one step at a time."""
-        result = CampaignResult()
-        for step in self._skip_or_pend(context, result):
-            bad_deps = sorted(
-                dep
-                for dep in step.depends_on
-                if dep in context.quarantined
-            )
-            if bad_deps and not step.run_on_partial:
-                self._mark_quarantined(
-                    step,
-                    "dependency quarantined: " + ", ".join(bad_deps),
-                    context,
-                    result,
-                )
-                continue
-            self.manifest.mark(step.step_id, STATUS_RUNNING)
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    payload = self._attempt(
-                        step, context, policy, attempt
-                    )
-                except BaseException as exc:
-                    action = self._classify_failure(
-                        step, exc, attempt, result, policy, quarantine
-                    )
-                    if action == "retry":
-                        time.sleep(
-                            policy.backoff_s(step.step_id, attempt)
-                        )
-                        continue
-                    self._mark_quarantined(
-                        step,
-                        f"{type(exc).__name__}: {exc}",
-                        context,
-                        result,
-                    )
-                    break
-                self._complete_step(step, context, result, payload)
-                break
-        return result
-
-    def _run_parallel(
-        self,
-        context: CampaignContext,
-        jobs: int,
-        policy: RetryPolicy,
-        quarantine: bool,
-    ) -> CampaignResult:
-        """Topological-wavefront executor over supervised workers.
-
-        Ready steps (all dependencies ``done``) dispatch in
-        declaration order; worker-backed steps run in supervised child
-        processes — at most ``jobs`` concurrently — and the rest run
-        inline between polls.  Supervision makes worker failure a
-        per-attempt event: a crash, transported exception or timeout
-        costs that attempt only, feeding the shared retry/quarantine
-        classification.  Without retry or quarantine a failure
-        journals ``failed``, the remaining in-flight workers are
-        terminated (their steps stay ``running``, exactly like a
-        killed run, so the next invocation re-executes them) and the
-        original exception propagates.
-        """
-        result = CampaignResult()
-        pending = self._skip_or_pend(context, result)
-        if not pending:
-            return result
-        pending_ids = {step.step_id for step in pending}
-        remaining_deps = {
-            step.step_id: {
-                dep for dep in step.depends_on if dep in pending_ids
-            }
-            for step in pending
-        }
-        dependents: dict[str, list[CampaignStep]] = {}
-        for step in pending:
-            for dep in remaining_deps[step.step_id]:
-                dependents.setdefault(dep, []).append(step)
-        ready = [
-            step for step in pending if not remaining_deps[step.step_id]
-        ]
-        inline: list[CampaignStep] = []
-        running: list[_WorkerJob] = []
-        #: step_id -> (step, monotonic time its next attempt is due).
-        waiting: dict[str, tuple[CampaignStep, float]] = {}
-        attempts: dict[str, int] = {}
-
-        def _promote(step: CampaignStep) -> None:
-            bad = sorted(
-                dep
-                for dep in step.depends_on
-                if dep in context.quarantined
-            )
-            if bad and not step.run_on_partial:
-                _quarantine(
-                    step, "dependency quarantined: " + ", ".join(bad)
-                )
-            else:
-                ready.append(step)
-
-        def _unlock(step_id: str) -> None:
-            for dependent in dependents.get(step_id, ()):
-                deps = remaining_deps[dependent.step_id]
-                deps.discard(step_id)
-                if not deps:
-                    _promote(dependent)
-
-        def _quarantine(step: CampaignStep, detail: str) -> None:
-            self._mark_quarantined(step, detail, context, result)
-            _unlock(step.step_id)
-
-        def _complete(step: CampaignStep, payload: str | None) -> None:
-            self._complete_step(step, context, result, payload)
-            _unlock(step.step_id)
-
-        def _fail(step: CampaignStep, exc: BaseException) -> None:
-            attempt = attempts[step.step_id]
-            action = self._classify_failure(
-                step, exc, attempt, result, policy, quarantine
-            )
-            if action == "retry":
-                waiting[step.step_id] = (
-                    step,
-                    time.monotonic()
-                    + policy.backoff_s(step.step_id, attempt),
-                )
-            else:
-                _quarantine(step, f"{type(exc).__name__}: {exc}")
-
-        try:
-            while ready or inline or running or waiting:
-                progressed = False
-                now = time.monotonic()
-                for step_id in list(waiting):
-                    step, due = waiting[step_id]
-                    if now >= due:
-                        del waiting[step_id]
-                        ready.append(step)
-                        progressed = True
-                deferred: list[CampaignStep] = []
-                while ready:
-                    step = ready.pop(0)
-                    if step.worker is None:
-                        self.manifest.mark(
-                            step.step_id, STATUS_RUNNING
-                        )
-                        inline.append(step)
-                        continue
-                    if len(running) >= jobs:
-                        deferred.append(step)
-                        continue
-                    self.manifest.mark(step.step_id, STATUS_RUNNING)
-                    attempts[step.step_id] = (
-                        attempts.get(step.step_id, 0) + 1
-                    )
-                    if context.verbose:
-                        log.info(
-                            f"[{self.name}] {step.step_id}: "
-                            f"{step.description}"
-                        )
-                    try:
-                        # The job factory runs in the scheduler; its
-                        # failures classify like any other attempt.
-                        fn, kwargs = step.worker(context)
-                    except BaseException as exc:
-                        _fail(step, exc)
-                        continue
-                    running.append(
-                        self._spawn(
-                            step,
-                            fn,
-                            kwargs,
-                            attempts[step.step_id],
-                            policy.timeout_s,
-                        )
-                    )
-                    progressed = True
-                ready.extend(deferred)
-                if inline:
-                    step = inline.pop(0)
-                    attempts[step.step_id] = (
-                        attempts.get(step.step_id, 0) + 1
-                    )
-                    try:
-                        payload = self._attempt(
-                            step,
-                            context,
-                            policy,
-                            attempts[step.step_id],
-                        )
-                    except BaseException as exc:
-                        _fail(step, exc)
-                    else:
-                        _complete(step, payload)
-                    continue
-                for job in list(running):
-                    outcome = job.outcome()
-                    if outcome is None:
-                        continue
-                    running.remove(job)
-                    progressed = True
-                    status, value = outcome
-                    if status == "ok":
-                        _complete(job.step, value)
-                    else:
-                        _fail(job.step, value)
-                if not progressed:
-                    time.sleep(0.01)
-        except BaseException:
-            # Abort: reap in-flight workers; their steps stay
-            # 'running' and re-execute on the next invocation.
-            for job in running:
-                job._kill()
-            raise
-        return result
+        exc: BaseException,
+        action: str,
+        backoff_s: float = 0.0,
+    ) -> None:
+        """Append one entry to the step's manifest attempt history."""
+        self.campaign.manifest.record_attempt(
+            step.step_id,
+            {
+                "attempt": self.attempts[step.step_id],
+                "error": f"{type(exc).__name__}: {exc}",
+                "transient": is_transient(exc),
+                "action": action,
+                "backoff_s": round(backoff_s, 6),
+            },
+        )
 
 
 # -- sweep campaign -----------------------------------------------------

@@ -221,13 +221,14 @@ class Sequential:
 
     def load(self, path: str) -> None:
         """Load weights saved by :meth:`save` into an identical stack."""
-        data = np.load(path)
-        input_shape = tuple(int(v) for v in data["input_shape"])
-        if not self._built:
-            self.build(input_shape)
-        weights = [
-            data[f"weight_{i}"] for i in range(len(self.parameters()))
-        ]
+        with np.load(path) as data:
+            input_shape = tuple(int(v) for v in data["input_shape"])
+            if not self._built:
+                self.build(input_shape)
+            weights = [
+                data[f"weight_{i}"]
+                for i in range(len(self.parameters()))
+            ]
         self.set_weights(weights)
 
     def summary(self) -> str:

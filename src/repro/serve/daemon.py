@@ -64,6 +64,11 @@ from .queue import (
     JobQueue,
 )
 
+#: How often the HTTP thread checks its shutdown flag.
+#: :meth:`ReproDaemon.stop` waits up to one interval for it, so the
+#: stdlib default of 0.5 s would cost every stop half a second.
+_SHUTDOWN_POLL_S = 0.05
+
 
 class ReproDaemon:
     """The campaign service: HTTP front, persistent queue, workers."""
@@ -113,6 +118,7 @@ class ReproDaemon:
         self.started_at = time.time()
         self._http_thread = threading.Thread(
             target=self._server.serve_forever,
+            kwargs={"poll_interval": _SHUTDOWN_POLL_S},
             name="repro-serve-http",
             daemon=True,
         )

@@ -1,5 +1,7 @@
 """Tests for optimizers, losses, and the Sequential training loop."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -116,8 +118,20 @@ class TestSequential:
         clone = Sequential(
             [Conv2D(4, 3), ReLU(), Flatten(), Dense(5)], seed=99
         )
+        fds_before = set(os.listdir("/proc/self/fd"))
         clone.load(path)
+        fds_after = set(os.listdir("/proc/self/fd"))
         assert np.allclose(clone.predict(x), reference)
+        assert fds_after <= fds_before
+        # A failed load closes the file too, though the traceback keeps
+        # the loading frame alive.
+        wrong = Sequential(
+            [Conv2D(4, 3), ReLU(), Flatten(), Dense(6)], seed=99
+        )
+        with pytest.raises(ShapeError) as info:
+            wrong.load(path)
+        assert info.traceback
+        assert set(os.listdir("/proc/self/fd")) <= fds_before
 
     def test_set_weights_shape_check(self, rng):
         model = Sequential([Dense(4)], seed=0)

@@ -92,7 +92,7 @@ def test_sigkill_mid_grid_then_relaunch_resumes_byte_identical(tmp_path):
     cache = tmp_path / "serve-cache"
     models = tmp_path / "models"
 
-    proc, client, _, _ = _launch_daemon(cache, models)
+    proc, client, _, drain_thread = _launch_daemon(cache, models)
     try:
         response = client.submit(SUBMISSION)
         assert response.status == 201
@@ -118,6 +118,8 @@ def test_sigkill_mid_grid_then_relaunch_resumes_byte_identical(tmp_path):
     finally:
         proc.kill()
         proc.wait(timeout=30)
+        drain_thread.join(timeout=10)
+        proc.stdout.close()
 
     # The kill left an orphaned `running` record and a partial manifest.
     orphan = json.loads(
@@ -156,6 +158,7 @@ def test_sigkill_mid_grid_then_relaunch_resumes_byte_identical(tmp_path):
         proc.send_signal(signal.SIGTERM)
         code = proc.wait(timeout=60)
         drain_thread.join(timeout=10)
+        proc.stdout.close()
     assert code == 0
     assert any("requeued after daemon restart" in l for l in drained)
     assert any("shutdown complete" in l for l in drained)

@@ -2,8 +2,9 @@
 
 Idle workers park until a submission wakes one of them, so an idle
 daemon touches its queue not at all, and a job costs one claim.  The
-pins count ``claim_next`` calls and read socket options; none of them
-asserts a latency.
+pins count ``claim_next`` calls and read socket options; the one
+latency they assert is that :meth:`ReproDaemon.stop` returns well inside
+the stdlib's 0.5 s shutdown poll.
 """
 
 from __future__ import annotations
@@ -70,6 +71,19 @@ def test_stop_wakes_parked_workers(tmp_path):
     stopper.join(timeout=5)
     assert not stopper.is_alive()
     assert not any(worker.is_alive() for worker in daemon._workers)
+
+
+def test_stop_right_after_a_request_is_prompt(tmp_path):
+    # A request restarts the HTTP thread's shutdown poll, so a stop()
+    # issued right after one waits out nearly a whole poll interval.
+    daemon = ReproDaemon(cache_dir=str(tmp_path), port=0, slots=1)
+    daemon.start()
+    client = ServeClient(f"http://127.0.0.1:{daemon.port}")
+    assert client.healthz().status == 200
+    daemon.request_stop()
+    start = time.monotonic()
+    daemon.stop()
+    assert time.monotonic() - start < 0.25
 
 
 def test_accepted_sockets_disable_nagle(daemon, monkeypatch):

@@ -131,6 +131,7 @@ class TestErrorStatuses:
 
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(req, timeout=10)
+        info.value.close()
         assert info.value.code == 400
 
     def test_non_utf8_body_is_400(self, daemon):

@@ -46,7 +46,6 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -293,12 +292,10 @@ def _supervised_entry(
     os.replace(tmp, result_path)
 
 
-#: Serializes worker starts across the threads of one process (the
-#: slots of ``repro serve``).  A fork copies every open descriptor,
-#: including the write end of a sentinel pipe that a concurrent
-#: ``Process.start`` has not closed yet; that copy keeps the other
-#: worker's sentinel silent until the forked worker exits.
-_START_LOCK = threading.Lock()
+#: Longest blocking wait while some worker has no pidfd: its sentinel
+#: pipe, waited on instead, stays silent while a process forked from
+#: the worker (a dataset pool child) outlives it.
+_SENTINEL_WAIT_S = 0.5
 
 
 def _mp_context():
@@ -324,36 +321,42 @@ class _WorkerJob:
     process: object
     result_path: Path
     deadline: float | None
+    #: A pidfd of the worker, where the platform has one.
+    pidfd: int | None = None
+
+    @property
+    def exit_handle(self) -> int:
+        """Waitable handle that becomes readable once the worker exits.
+
+        The pidfd tracks the process itself.  The fallback sentinel is
+        a pipe that every process forked from the worker also holds
+        open, so it can stay silent after the worker died.
+        """
+        return self.process.sentinel if self.pidfd is None else self.pidfd
 
     def outcome(self) -> tuple | None:
-        """Poll once: ``(status, value)`` when finished, else None.
+        """Poll once: ``(status, value)`` once the worker exited, else None.
 
         ``status`` is ``ok`` (value = payload) or ``error`` (value =
         the exception to handle).  A worker past its deadline is
         killed here and reported as a :class:`StepTimeoutError`; a
-        worker that died without publishing a result becomes a
+        worker that exited without publishing a result becomes a
         :class:`WorkerCrashError`.  Both are transient, so the retry
         policy requeues the step.
         """
-        if self.result_path.exists():
-            return self._collect()
         if self.process.is_alive():
-            if (
-                self.deadline is not None
-                and time.monotonic() >= self.deadline
-            ):
-                self._kill()
-                return (
-                    "error",
-                    StepTimeoutError(
-                        f"step {self.step.step_id!r} attempt "
-                        f"{self.attempt} exceeded its timeout; hung "
-                        "worker killed and step requeued"
-                    ),
-                )
-            return None
-        # Exited: give a just-published result file one more look
-        # (the child renames it immediately before exiting).
+            if self.deadline is None or time.monotonic() < self.deadline:
+                return None
+            self._kill()
+            return (
+                "error",
+                StepTimeoutError(
+                    f"step {self.step.step_id!r} attempt "
+                    f"{self.attempt} exceeded its timeout; hung "
+                    "worker killed and step requeued"
+                ),
+            )
+        self._release()
         if self.result_path.exists():
             return self._collect()
         return (
@@ -367,7 +370,6 @@ class _WorkerJob:
 
     def _collect(self) -> tuple:
         """Load and consume the published outcome file."""
-        self.process.join(timeout=5.0)
         try:
             with open(self.result_path, "rb") as handle:
                 status, value = pickle.load(handle)
@@ -382,14 +384,25 @@ class _WorkerJob:
         self.result_path.unlink(missing_ok=True)
         return (status, value)
 
+    def _exited(self, timeout_s: float) -> bool:
+        """Wait up to ``timeout_s`` for the worker to exit; reap it."""
+        multiprocessing.connection.wait([self.exit_handle], timeout_s)
+        return not self.process.is_alive()
+
     def _kill(self) -> None:
         """Terminate (then kill) the worker process and reap it."""
         self.process.terminate()
-        self.process.join(timeout=2.0)
-        if self.process.is_alive():  # pragma: no cover - stuck in D
+        if not self._exited(2.0):  # pragma: no cover - stuck in D
             self.process.kill()
-            self.process.join(timeout=2.0)
+            self._exited(2.0)
+        self._release()
         self.result_path.unlink(missing_ok=True)
+
+    def _release(self) -> None:
+        """Close the pidfd once the worker is settled."""
+        if self.pidfd is not None:
+            os.close(self.pidfd)
+            self.pidfd = None
 
 
 class Campaign:
@@ -492,12 +505,15 @@ class Campaign:
         ``jobs=1`` run executes in topological order and forks
         nothing.  A step waiting out a retry backoff does not hold up
         independent ready steps, and a dependent of a quarantined step
-        is fenced as soon as that step is.  Every run computes on one
-        BLAS thread (:func:`repro.blas.single_threaded`), which forked
-        workers inherit.  Step payloads must be deterministic; given
-        that, a campaign's outputs are byte-identical for every
-        ``jobs`` value — and, because faults only ever cost attempts,
-        for every fault plan it survives.
+        is fenced as soon as that step is.  Under a timeout, a
+        ``jobs=1`` worker step runs beside ready inline steps, and its
+        wall time is traced by the worker's ``worker.body`` span, not
+        by a ``step.attempt`` span in the scheduler.  Every run
+        computes on one BLAS thread (:func:`repro.blas.single_threaded`),
+        which forked workers inherit.  Step payloads must be
+        deterministic; given that, a campaign's outputs are
+        byte-identical for every ``jobs`` value — and, because faults
+        only ever cost attempts, for every fault plan it survives.
         """
         if not resume:
             self.manifest.reset()
@@ -544,8 +560,8 @@ class _Wavefront:
     carries a timeout, at most ``jobs`` at once; every other step runs
     inline in the scheduler through ``step.run``, where the
     ``step.body`` fault site fires.  With nothing to start, the
-    scheduler blocks on its workers' exit sentinels until one exits or
-    the nearest retry or attempt deadline falls due.
+    scheduler blocks on its workers' pidfds until one exits or the
+    nearest retry or attempt deadline falls due.
 
     The run's state lives on this object and its methods reach each
     other through ``self``, so it forms no reference cycle with the
@@ -685,12 +701,15 @@ class _Wavefront:
             target=_supervised_entry,
             args=(fn, dict(kwargs), str(result_path), step.step_id),
         )
-        with _START_LOCK:
-            process.start()
+        process.start()
+        try:
+            pidfd = os.pidfd_open(process.pid)
+        except (AttributeError, OSError):  # no pidfd: wait on the sentinel
+            pidfd = None
         timeout_s = self.policy.timeout_s
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         self.running.append(
-            _WorkerJob(step, attempt, process, result_path, deadline)
+            _WorkerJob(step, attempt, process, result_path, deadline, pidfd)
         )
 
     def _collect(self, block: bool) -> None:
@@ -700,14 +719,17 @@ class _Wavefront:
         nearest retry or attempt deadline, whichever comes first.
         """
         if block:
+            now = time.monotonic()
             due = [when for _, when in self.waiting.values()] + [
                 job.deadline
                 for job in self.running
                 if job.deadline is not None
             ]
+            if any(job.pidfd is None for job in self.running):
+                due.append(now + _SENTINEL_WAIT_S)
             multiprocessing.connection.wait(
-                [job.process.sentinel for job in self.running],
-                max(0.0, min(due) - time.monotonic()) if due else None,
+                [job.exit_handle for job in self.running],
+                max(0.0, min(due) - now) if due else None,
             )
         now = time.monotonic()
         for step_id, (step, when) in list(self.waiting.items()):

@@ -4,16 +4,20 @@
 These pins cover what the executor promises beyond payload identity:
 a fault-free ``jobs=1`` run keeps the topological order and forks
 nothing, the scheduler waits on its workers without sleep-polling and
-never starts two at once, a retry backoff holds up no independent
-step, and the run keeps no reference cycle that would pin
-``context.shared`` memos in memory.
+notices a dead worker even while a process it forked lives on, a
+retry backoff holds up no independent step, and the run keeps no
+reference cycle that would pin ``context.shared`` memos in memory.
 """
 
 from __future__ import annotations
 
 import gc
+import os
+import signal
 import threading
+import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,20 @@ def _slow_echo(payload: str, seconds: float) -> str:
     # Not time.sleep: the forked child inherits the test's patch.
     threading.Event().wait(seconds)
     return payload
+
+
+def _orphan_then_die(pid_file: str) -> str:
+    # The first attempt forks a child that outlives it, as a dataset
+    # process pool does, and then dies by SIGKILL.
+    path = Path(pid_file)
+    if path.exists():
+        return "healed"
+    child = os.fork()
+    if child == 0:
+        time.sleep(10.0)
+        os._exit(0)
+    path.write_text(str(child))
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class _Memo:
@@ -130,34 +148,46 @@ def test_parallel_run_waits_without_sleeping(tmp_path, monkeypatch):
         assert context.read_output(f"slow@{value}") == value
 
 
-def test_worker_starts_hold_the_start_lock(tmp_path, monkeypatch):
-    # A fork copies the unclosed sentinel pipe of a worker another
-    # thread is starting, so two starts must never overlap.
-    held: list[bool] = []
-    fork = runner._mp_context()
-
-    class _Process(fork.Process):
-        def start(self):
-            held.append(runner._START_LOCK.locked())
-            super().start()
-
-    class _Context:
-        Process = _Process
-
-    monkeypatch.setattr(runner, "_mp_context", lambda: _Context)
+@pytest.mark.parametrize("pidfd", [True, False])
+def test_worker_death_is_noticed_while_its_child_lives(
+    tmp_path, monkeypatch, pidfd
+):
+    # The orphaned child keeps the dead worker's sentinel pipe open.
+    if not pidfd:
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+    pid_file = tmp_path / "orphan.pid"
     steps = [
         CampaignStep(
-            "work",
-            "worker step",
-            lambda ctx: "work",
-            worker=lambda ctx: (_echo, {"payload": "work"}),
+            "orphaning",
+            "worker that dies before its child",
+            lambda ctx: "healed",
+            worker=lambda ctx: (
+                _orphan_then_die,
+                {"pid_file": str(pid_file)},
+            ),
         )
     ]
-    campaign = Campaign("start-lock", steps, tmp_path / "campaign")
-    result = campaign.run(_context(tmp_path), jobs=2)
+    campaign = Campaign("orphan", steps, tmp_path / "campaign")
+    context = _context(tmp_path)
+    started = time.monotonic()
+    try:
+        result = campaign.run(
+            context, jobs=2, retry=RetryPolicy(max_attempts=2)
+        )
+        elapsed = time.monotonic() - started
+    finally:
+        if pid_file.exists():
+            try:
+                os.kill(int(pid_file.read_text()), signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
-    assert result.executed == ["work"]
-    assert held == [True]
+    first = campaign.manifest.attempts("orphaning")[0]
+    assert first["error"].startswith("WorkerCrashError")
+    assert first["action"] == "retry"
+    assert result.executed == ["orphaning"]
+    assert context.read_output("orphaning") == "healed"
+    assert elapsed < 5.0
 
 
 def test_retry_backoff_holds_up_no_independent_step(tmp_path):

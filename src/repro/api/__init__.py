@@ -19,9 +19,10 @@ Quickstart::
     print(handle.results())       # the parsed results.json aggregate
 
 Exit codes and HTTP statuses come from one table in
-:mod:`repro.api.errors`; job option validation shares its table with
-the argparse parsers (:mod:`repro.campaign.options`), so the CLI, the
-API and the service can never drift.
+:mod:`repro.api.errors`.  Every job field and run option is declared
+once, on its dataclass, and checked when the object is built; the
+``repro`` subcommands are rendered from the same declarations, so the
+CLI, the API and the service can never drift.
 """
 
 from __future__ import annotations

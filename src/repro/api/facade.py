@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields as dataclass_fields
+import os
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -60,6 +61,8 @@ from .jobs import (
     StreamJob,
     SweepJob,
     TrainJob,
+    check_fields,
+    param,
 )
 
 
@@ -101,23 +104,143 @@ class RunOptions:
 
     These deliberately exclude everything hashed into the campaign
     directory: two runs with different ``RunOptions`` share one
-    manifest and resume each other.
+    manifest and resume each other.  A field's ``gate`` names the
+    :attr:`~repro.api.jobs.JobSpec.takes` entry a kind needs for the
+    CLI to offer it.
     """
 
-    jobs: int = 1
-    fresh: bool = False
-    retries: int = 3
-    step_timeout: float | None = None
-    no_quarantine: bool = False
-    faults: str | None = None
-    trace: bool = False
+    fresh: bool = param(
+        False, "ignore the campaign manifest and re-run every step"
+    )
+    jobs: int = param(
+        1,
+        "worker processes scheduling independent steps concurrently "
+        "(1 = serial; results are byte-identical either way)",
+        gate="jobs",
+    )
+    retries: int = param(
+        3,
+        "max attempts per step for transient failures (1 = no retry; "
+        "backoff is deterministic per step)",
+        gate="robustness",
+    )
+    step_timeout: float | None = param(
+        None,
+        "per-attempt wall-time budget of worker steps in seconds; a "
+        "hung worker is killed and the step requeued",
+        gate="robustness",
+    )
+    no_quarantine: bool = param(
+        False,
+        "abort on the first permanently failed step instead of "
+        "quarantining it and finishing independent DAG branches",
+        gate="robustness",
+    )
+    faults: str | None = param(
+        None,
+        "arm a fault-injection plan for chaos testing: a built-in name "
+        f"({', '.join(sorted(faults.BUILTIN_PLANS))}) or the path of a "
+        "plan JSON file (also: $REPRO_FAULT_PLAN)",
+        gate="robustness",
+    )
+    trace: bool = param(
+        False,
+        "record a structured span journal under <campaign dir>/trace "
+        "(inspect with `repro trace summary`); wall-clock side-channel "
+        "only — payloads, cache keys and manifests stay byte-identical",
+    )
 
-    @classmethod
-    def from_mapping(cls, data: dict | None) -> "RunOptions":
-        """Build from a validated job-option dict, ignoring extras."""
-        data = dict(data or {})
-        known = {f.name for f in dataclass_fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+    def __post_init__(self):
+        check_fields(self, "job option")
+
+
+def default_workers() -> int | None:
+    """Worker default: ``$REPRO_BENCH_WORKERS`` (unset/empty/0 = serial)."""
+    raw = os.environ.get("REPRO_BENCH_WORKERS", "").strip()
+    try:
+        return int(raw) or None
+    except ValueError:
+        return None
+
+
+@dataclass(frozen=True)
+class HostOptions:
+    """Host-side resources a campaign is prepared against.
+
+    Every ``repro`` subcommand that touches the cache takes these.
+    The daemon owns its cache and model roots and its log level, so a
+    ``POST /v1/jobs`` submission may carry only the ``service`` ones.
+    """
+
+    model_dir: str | None = param(
+        None,
+        "model checkpoint registry root (default: $REPRO_MODEL_DIR or "
+        "~/.cache/repro-vvd/models)",
+        gate="model_dir",
+    )
+    cache_dir: str | None = param(
+        None,
+        "dataset cache root (default: $REPRO_CACHE_DIR or "
+        "~/.cache/repro-vvd/datasets)",
+    )
+    workers: int | None = param(
+        None,
+        "process-pool size for dataset generation "
+        "(default: $REPRO_BENCH_WORKERS or serial)",
+        service=True,
+        cli_default=default_workers,
+    )
+    verbose: bool = param(
+        False, "print per-step/per-set progress", service=True
+    )
+    quiet: bool = param(
+        False,
+        "suppress summaries and sentinels (log level WARNING); "
+        "corruption warnings and errors still print",
+    )
+
+    def __post_init__(self):
+        check_fields(self, "job option")
+
+    def cache(self) -> DatasetCache:
+        """The dataset cache rooted at :attr:`cache_dir`."""
+        return DatasetCache(self.cache_dir)
+
+    def registry(self) -> ModelCheckpointRegistry:
+        """The checkpoint registry rooted at :attr:`model_dir`."""
+        return ModelCheckpointRegistry(self.model_dir)
+
+
+#: Job options a ``POST /v1/jobs`` submission may carry: every run
+#: option and the host options marked ``service``.
+SERVICE_OPTIONS = tuple(f.name for f in fields(RunOptions)) + tuple(
+    f.name for f in fields(HostOptions) if f.metadata.get("service")
+)
+
+
+def validate_job_options(payload: dict | None) -> dict:
+    """Validate the ``options`` object of a ``POST /v1/jobs`` submission.
+
+    The option classes check the values.  Returns every
+    :data:`SERVICE_OPTIONS` entry, defaults filled in; an omitted host
+    option keeps its ``None``/``False`` default, so the daemon falls
+    back to its own value.  Raises
+    :class:`~repro.errors.ConfigurationError` (HTTP 400).
+    """
+    payload = dict(payload or {})
+    unknown = sorted(set(payload).difference(SERVICE_OPTIONS))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown job option(s) {', '.join(unknown)}; accepted: "
+            f"{', '.join(sorted(SERVICE_OPTIONS))}"
+        )
+    run_names = RunOptions.__dataclass_fields__
+    run = RunOptions(**{k: v for k, v in payload.items() if k in run_names})
+    host = HostOptions(
+        **{k: v for k, v in payload.items() if k not in run_names}
+    )
+    resolved = asdict(run) | asdict(host)
+    return {name: resolved[name] for name in SERVICE_OPTIONS}
 
 
 def self_healing_lines(result, plan) -> list[str]:
@@ -166,8 +289,6 @@ class CampaignHandle:
         context: CampaignContext,
         cache: DatasetCache,
         registry: ModelCheckpointRegistry | None,
-        supports_robustness: bool,
-        supports_jobs: bool,
         stale_hook: Callable[[], None] | None,
         summarize: Callable[..., list[str]],
     ) -> None:
@@ -177,8 +298,6 @@ class CampaignHandle:
         self.cache = cache
         self.registry = registry
         self.directory = context.directory
-        self.supports_robustness = supports_robustness
-        self.supports_jobs = supports_jobs
         self._stale_hook = stale_hook
         self._summarize = summarize
 
@@ -207,7 +326,8 @@ class CampaignHandle:
         quarantined).
         """
         options = options or RunOptions()
-        if not self.supports_robustness and options.faults is not None:
+        robust = "robustness" in self.spec.takes
+        if not robust and options.faults is not None:
             raise ConfigurationError(
                 f"{self.kind} campaigns do not support fault injection"
             )
@@ -215,7 +335,7 @@ class CampaignHandle:
             self._stale_hook()
         plan = None
         traced = False
-        if self.supports_robustness and options.faults is not None:
+        if robust and options.faults is not None:
             plan = faults.resolve_plan(
                 options.faults,
                 state_dir=self.directory / "faults" / "state",
@@ -229,11 +349,11 @@ class CampaignHandle:
             )
             traced = True
         try:
-            if self.supports_robustness:
+            if robust:
                 result = self.campaign.run(
                     self.context,
                     resume=not options.fresh,
-                    jobs=options.jobs if self.supports_jobs else 1,
+                    jobs=options.jobs if "jobs" in self.spec.takes else 1,
                     retry=RetryPolicy(
                         max_attempts=options.retries,
                         timeout_s=options.step_timeout,
@@ -372,93 +492,55 @@ class CampaignHandle:
 
 
 # -- per-kind builders ---------------------------------------------------
-def _invalidate_stale_train_steps(
+def _train_key(payload: dict) -> str:
+    """The model key a ``train@`` step payload records."""
+    return payload["key"]
+
+
+def _grid_key(payload: dict) -> str | None:
+    """The VVD model key of a ``point@`` payload (None: no model)."""
+    return payload["record"].get("vvd", {}).get("key")
+
+
+def _invalidate_stale_steps(
     campaign: Campaign,
     context: CampaignContext,
     registry: ModelCheckpointRegistry,
-    step_prefix: str = "train@",
-    noun: str = "step",
+    prefix: str,
+    model_key: Callable[[dict], str | None],
 ) -> None:
-    """Re-open ``done`` train steps whose checkpoint has vanished.
+    """Re-open ``done`` model steps whose checkpoint has vanished.
 
     The campaign manifest can outlive the model registry (a wiped or
     different model dir); trusting it blindly would replay the stored
     report and claim "100% checkpoint hits" over models that no longer
-    exist.  Any completed ``train@`` step whose recorded key is absent
-    from the registry — or whose payload is unreadable — is marked
-    ``pending`` again (along with the ``report`` step) so the run
-    re-resolves it.
+    exist.  Any completed step under ``prefix`` (``train@``, or a grid's
+    ``point@``) whose payload is missing or unreadable, or whose
+    ``model_key`` is absent from the registry, is marked ``pending``
+    again, along with the ``report`` step, so the run re-resolves it.
     """
     stale = []
     for step in campaign.steps:
-        if not step.step_id.startswith(step_prefix):
+        if not step.step_id.startswith(prefix):
             continue
         if campaign.manifest.status(step.step_id) != STATUS_DONE:
             continue
-        path = context.output_path(step.step_id)
-        if not path.exists():
-            # The runner will re-execute the step anyway (its skip
-            # condition requires the output file), but the report step
-            # must be re-opened too — fall through to the stale list.
-            stale.append(step.step_id)
-            continue
         try:
-            key = json.loads(path.read_text())["key"]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            stale.append(step.step_id)
-            continue
-        if not registry.has_key(key):
-            stale.append(step.step_id)
-    if stale:
-        for step_id in stale:
-            campaign.manifest.mark(step_id, STATUS_PENDING)
-        campaign.manifest.mark("report", STATUS_PENDING)
-    if stale and context.verbose:
-        log.info(
-            f"{len(stale)} completed {noun}(s) lost their checkpoint; "
-            "re-resolving"
-        )
-
-
-def _invalidate_stale_grid_steps(
-    campaign: Campaign,
-    context: CampaignContext,
-    registry: ModelCheckpointRegistry,
-) -> None:
-    """Re-open ``done`` grid points whose VVD checkpoint has vanished.
-
-    The grid analogue of :func:`_invalidate_stale_train_steps`: any
-    completed ``point@`` step whose recorded model key is absent from
-    the registry — or whose payload is unreadable — is marked
-    ``pending`` again (along with the ``report`` step) so the run
-    re-resolves it instead of replaying a stale "100% checkpoint hits"
-    claim.
-    """
-    stale = []
-    for step in campaign.steps:
-        if not step.step_id.startswith("point@"):
-            continue
-        if campaign.manifest.status(step.step_id) != STATUS_DONE:
-            continue
-        path = context.output_path(step.step_id)
-        if not path.exists():
-            stale.append(step.step_id)
-            continue
-        try:
-            record = json.loads(path.read_text())["record"]
-            key = record.get("vvd", {}).get("key")
-        except (json.JSONDecodeError, KeyError, TypeError):
+            path = context.output_path(step.step_id)
+            key = model_key(json.loads(path.read_text()))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             stale.append(step.step_id)
             continue
         if key is not None and not registry.has_key(key):
             stale.append(step.step_id)
-    if stale:
-        for step_id in stale:
-            campaign.manifest.mark(step_id, STATUS_PENDING)
-        campaign.manifest.mark("report", STATUS_PENDING)
-    if stale and context.verbose:
+    if not stale:
+        return
+    for step_id in stale:
+        campaign.manifest.mark(step_id, STATUS_PENDING)
+    campaign.manifest.mark("report", STATUS_PENDING)
+    if context.verbose:
         log.info(
-            f"{len(stale)} completed point(s) lost their checkpoint; "
+            f"{len(stale)} completed step(s) lost their checkpoint; "
             "re-resolving"
         )
 
@@ -478,7 +560,7 @@ def _summarize_sweep(handle, result, plan, options) -> list[str]:
     return lines
 
 
-def _build_sweep(spec: SweepJob, env: "_Env") -> CampaignHandle:
+def _build_sweep(spec: SweepJob, env: HostOptions) -> CampaignHandle:
     scenario = get_scenario(spec.scenario)
     config = scenario.resolve()
     snrs = tuple(spec.snrs) if spec.snrs else scenario.snr_grid_db
@@ -509,8 +591,6 @@ def _build_sweep(spec: SweepJob, env: "_Env") -> CampaignHandle:
         context=context,
         cache=cache,
         registry=None,
-        supports_robustness=True,
-        supports_jobs=False,
         stale_hook=None,
         summarize=_summarize_sweep,
     )
@@ -530,7 +610,7 @@ def _summarize_train(handle, result, plan, options) -> list[str]:
     return lines
 
 
-def _build_train(spec: TrainJob, env: "_Env") -> CampaignHandle:
+def _build_train(spec: TrainJob, env: HostOptions) -> CampaignHandle:
     scenario = get_scenario(spec.scenario)
     config = scenario.resolve()
     cache = env.cache()
@@ -567,10 +647,8 @@ def _build_train(spec: TrainJob, env: "_Env") -> CampaignHandle:
         context=context,
         cache=cache,
         registry=registry,
-        supports_robustness=True,
-        supports_jobs=False,
-        stale_hook=lambda: _invalidate_stale_train_steps(
-            campaign, context, registry
+        stale_hook=lambda: _invalidate_stale_steps(
+            campaign, context, registry, "train@", _train_key
         ),
         summarize=_summarize_train,
     )
@@ -590,21 +668,17 @@ def _summarize_figure(handle, result, plan, options) -> list[str]:
     return lines
 
 
-def _build_figure(spec: FigureJob, env: "_Env") -> CampaignHandle:
+def _build_figure(spec: FigureJob, env: HostOptions) -> CampaignHandle:
     scenario = get_scenario(spec.scenario)
     config = scenario.resolve()
-    names: list[str] = []
-    for name in spec.names:
-        if name == "all":
-            names.extend(f for f in FIGURE_NAMES if f not in names)
-        elif name in FIGURE_NAMES:
-            if name not in names:
-                names.append(name)
-        else:
-            raise NotFoundError(
-                f"unknown figure {name!r}; known figures: "
-                f"{', '.join(FIGURE_NAMES)} (or 'all')"
-            )
+    # The spec admits only known names; "all" expands in place.
+    names = list(
+        dict.fromkeys(
+            figure
+            for name in spec.names
+            for figure in (FIGURE_NAMES if name == "all" else (name,))
+        )
+    )
     cache = env.cache()
     options = {
         "figures": names,
@@ -636,8 +710,6 @@ def _build_figure(spec: FigureJob, env: "_Env") -> CampaignHandle:
         context=context,
         cache=cache,
         registry=context.checkpoints,
-        supports_robustness=False,
-        supports_jobs=False,
         stale_hook=None,
         summarize=_summarize_figure,
     )
@@ -698,7 +770,7 @@ def _summarize_stream(handle, result, plan, options) -> list[str]:
     return lines
 
 
-def _build_stream(spec: StreamJob, env: "_Env") -> CampaignHandle:
+def _build_stream(spec: StreamJob, env: HostOptions) -> CampaignHandle:
     from ..stream.policy import build_policy
     from ..stream.traffic import get_qos_mix, validate_traffic
 
@@ -777,12 +849,10 @@ def _build_stream(spec: StreamJob, env: "_Env") -> CampaignHandle:
         context=context,
         cache=cache,
         registry=registry,
-        supports_robustness=True,
-        supports_jobs=True,
         stale_hook=(
             (
-                lambda: _invalidate_stale_train_steps(
-                    campaign, context, registry
+                lambda: _invalidate_stale_steps(
+                    campaign, context, registry, "train@", _train_key
                 )
             )
             if needs_service
@@ -810,12 +880,12 @@ def _summarize_capacity(handle, result, plan, options) -> list[str]:
     return lines
 
 
-def _build_capacity(spec: CapacityJob, env: "_Env") -> CampaignHandle:
+def _build_capacity(spec: CapacityJob, env: HostOptions) -> CampaignHandle:
     from ..stream.traffic import get_qos_mix, validate_traffic
 
     traffic = validate_traffic(spec.traffic)
     get_qos_mix(spec.qos)
-    link_counts = sorted({int(n) for n in spec.links})
+    link_counts = sorted(set(spec.links))
     cache = env.cache()
     options = {
         "links": link_counts,
@@ -857,8 +927,6 @@ def _build_capacity(spec: CapacityJob, env: "_Env") -> CampaignHandle:
         context=context,
         cache=cache,
         registry=None,
-        supports_robustness=True,
-        supports_jobs=True,
         stale_hook=None,
         summarize=_summarize_capacity,
     )
@@ -899,7 +967,7 @@ def _summarize_grid(handle, result, plan, options) -> list[str]:
     return lines
 
 
-def _build_grid(spec: GridJob, env: "_Env") -> CampaignHandle:
+def _build_grid(spec: GridJob, env: HostOptions) -> CampaignHandle:
     grid_spec = get_grid(spec.grid)
     points = grid_spec.expand()
     needs_models = spec.vvd or "horizon" in grid_spec.axis_names
@@ -912,7 +980,7 @@ def _build_grid(spec: GridJob, env: "_Env") -> CampaignHandle:
         ],
         "base": grid_spec.base,
         "suite": spec.suite,
-        "vvd": bool(spec.vvd),
+        "vvd": spec.vvd,
         "horizon": spec.horizon if spec.vvd else None,
         "vvd_seed": spec.seed,
         "model_salt": MODEL_CACHE_SALT if needs_models else None,
@@ -945,12 +1013,10 @@ def _build_grid(spec: GridJob, env: "_Env") -> CampaignHandle:
         context=context,
         cache=cache,
         registry=registry,
-        supports_robustness=True,
-        supports_jobs=True,
         stale_hook=(
             (
-                lambda: _invalidate_stale_grid_steps(
-                    campaign, context, registry
+                lambda: _invalidate_stale_steps(
+                    campaign, context, registry, "point@", _grid_key
                 )
             )
             if needs_models
@@ -960,24 +1026,6 @@ def _build_grid(spec: GridJob, env: "_Env") -> CampaignHandle:
     )
     handle._grid_num_points = len(points)
     return handle
-
-
-@dataclass(frozen=True)
-class _Env:
-    """Host-side resources a handle is prepared against."""
-
-    cache_dir: str | None = None
-    model_dir: str | None = None
-    workers: int | None = None
-    verbose: bool = False
-
-    def cache(self) -> DatasetCache:
-        """The dataset cache rooted at this environment's cache dir."""
-        return DatasetCache(self.cache_dir)
-
-    def registry(self) -> ModelCheckpointRegistry:
-        """The checkpoint registry rooted at this env's model dir."""
-        return ModelCheckpointRegistry(self.model_dir)
 
 
 _BUILDERS: dict[str, Callable] = {
@@ -1010,7 +1058,7 @@ def prepare(
             f"unknown job kind {spec.kind!r}; accepted: "
             f"{', '.join(sorted(_BUILDERS))}"
         )
-    env = _Env(
+    env = HostOptions(
         cache_dir=cache_dir,
         model_dir=model_dir,
         workers=workers,

@@ -6,19 +6,32 @@ seeds — and is the same object whether it arrives from an argparse
 namespace, a notebook or a ``POST /v1/jobs`` body; the facade
 (:func:`repro.api.prepare`) turns it into a runnable campaign.
 
+Each field is declared once, on its dataclass: the annotation gives
+its type (element types included, e.g. ``tuple[float, ...] | None``),
+the default its default, and ``field(metadata=...)`` its help text
+and allowed values.  ``build_parser`` renders the ``repro`` campaign
+subcommands from these declarations, and :func:`check_fields`
+validates every spec on construction, so the CLI, :mod:`repro.api`
+and ``POST /v1/jobs`` accept exactly the same values.  The run and
+host options of :mod:`repro.api.facade` are declared and checked the
+same way.
+
 Every spec round-trips through JSON (:meth:`to_dict` /
-:func:`job_from_dict`), and the defaults are pinned to the CLI parser
-defaults by a drift test — the table in
-:mod:`repro.campaign.options` plays the same role for run options.
+:func:`job_from_dict`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
+import types
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
-from ..errors import ConfigurationError
+from ..campaign.params import _type_ok
+from ..errors import ConfigurationError, NotFoundError
 
 #: kind name -> spec class; populated by :func:`_register`.
 JOB_KINDS: dict[str, type] = {}
@@ -35,11 +48,143 @@ def _canonical(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def param(default, help: str, **meta):
+    """A dataclass field that carries its own CLI declaration.
+
+    ``help`` is the flag's help text.  Optional ``meta`` keys:
+
+    ``choices``
+        Allowed values (of each element, for tuple fields): a
+        sequence, or a zero-arg callable for registries.
+    ``unknown``
+        Error class a value outside ``choices`` raises (default
+        :class:`~repro.errors.ConfigurationError`).
+    ``positional``
+        Rendered as a positional argument instead of a ``--flag``.
+    ``gate``
+        Rendered only for kinds whose :attr:`JobSpec.takes` names it.
+    ``service``
+        A host option a ``POST /v1/jobs`` submission may carry.
+    ``cli_default``
+        Zero-arg callable giving the CLI default when the parser is
+        built (the dataclass default holds everywhere else).
+    """
+    return field(default=default, metadata={"help": help, **meta})
+
+
+@functools.cache
+def field_shapes(cls) -> tuple[tuple, ...]:
+    """``(field, type, element type, optional)`` for each field of ``cls``.
+
+    ``tuple[int, ...]`` has type ``tuple`` and element type ``int``;
+    ``X | None`` is optional.  Resolving annotations costs ~0.1 ms a
+    class, so each class resolves them once.
+    """
+    hints = typing.get_type_hints(cls)
+    shapes = []
+    for spec_field in fields(cls):
+        hint = hints[spec_field.name]
+        members = (
+            typing.get_args(hint)
+            if typing.get_origin(hint) in (typing.Union, types.UnionType)
+            else (hint,)
+        )
+        (kind,) = [m for m in members if m is not type(None)]
+        element = None
+        if typing.get_origin(kind) is tuple:
+            element, kind = typing.get_args(kind)[0], tuple
+        shapes.append((spec_field, kind, element, type(None) in members))
+    return tuple(shapes)
+
+
+class _Mismatch(Exception):
+    """A value that does not convert to its declared type."""
+
+
+def _coerce(value, kind: type):
+    """``value`` as ``kind``: numbers and numeric strings convert."""
+    if type(value) is kind:
+        return value
+    if kind in (int, float) and not isinstance(value, bool):
+        if isinstance(value, str):
+            try:
+                return kind(value)
+            except ValueError:
+                raise _Mismatch from None
+        if isinstance(value, float) and kind is int and value.is_integer():
+            return int(value)
+    elif kind is str and isinstance(value, os.PathLike):
+        return os.fspath(value)
+    if not _type_ok(value, kind):
+        raise _Mismatch
+    return kind(value) if kind is float else value
+
+
+#: How a validation message names each scalar type.
+_EXPECTS = {bool: "a boolean", str: "a string"}
+
+
+def check_fields(obj, noun: str) -> None:
+    """Validate and normalize the fields of a frozen dataclass in place.
+
+    The one validator of job specs and run/host options: lists become
+    tuples, numbers and numeric strings become the declared number
+    type (a bool is not a number), and any other type, or a value
+    outside the declared ``choices``, raises
+    :class:`~repro.errors.ConfigurationError` naming ``noun``.
+    """
+    for spec_field, kind, element, optional in field_shapes(type(obj)):
+        name = spec_field.name
+        value = getattr(obj, name)
+        if value is None and optional:
+            continue
+        try:
+            if kind is not tuple:
+                new = _coerce(value, kind)
+            elif isinstance(value, (list, tuple)):
+                new = tuple([_coerce(item, element) for item in value])
+            else:
+                raise _Mismatch
+        except _Mismatch:
+            if kind is not tuple:
+                expected = _EXPECTS.get(kind, kind.__name__)
+            elif isinstance(value, (list, tuple)):
+                expected = f"a list of {element.__name__}"
+            else:
+                expected = "a list"
+            raise ConfigurationError(
+                f"{noun} {name!r} expects {expected}, got {value!r}"
+            ) from None
+        choices = spec_field.metadata.get("choices")
+        if choices is not None:
+            allowed = choices() if callable(choices) else choices
+            error = spec_field.metadata.get("unknown", ConfigurationError)
+            for item in new if kind is tuple else (new,):
+                if item not in allowed:
+                    raise error(
+                        f"{noun} {name!r}: unknown value {item!r}; "
+                        f"accepted: {', '.join(map(str, allowed))}"
+                    )
+        if new is not value:
+            object.__setattr__(obj, name, new)
+
+
 @dataclass(frozen=True)
 class JobSpec:
-    """Base class of all job specs: JSON round-trip plumbing."""
+    """Base class of all job specs: validation and JSON round-trip.
+
+    The class docstring's first line is the subcommand's help.
+    """
 
     kind: ClassVar[str] = ""
+    #: Option groups the kind takes besides its own fields, ``--fresh``
+    #: and ``--trace``: ``jobs`` (DAG-level worker processes),
+    #: ``robustness`` (``--retries``/``--step-timeout``/
+    #: ``--no-quarantine``/``--faults``) and ``model_dir``.
+    takes: ClassVar[frozenset[str]] = frozenset()
+
+    def __post_init__(self):
+        check_fields(self, f"{self.kind} job field")
 
     def to_dict(self) -> dict:
         """Plain-data form, including the ``kind`` discriminator."""
@@ -63,65 +208,68 @@ class JobSpec:
                 f"unknown {cls.kind} job field(s) "
                 f"{', '.join(unknown)}; accepted: {', '.join(sorted(known))}"
             )
-        try:
-            spec = cls(**payload)
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"invalid {cls.kind} job spec: {exc}"
-            ) from None
-        return spec
+        return cls(**payload)
 
 
-def _as_tuple(value, caster, name: str):
-    """Normalize a JSON list/tuple field to a typed tuple."""
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(
-            f"job field {name!r} expects a list, got "
-            f"{type(value).__name__}"
-        )
-    try:
-        return tuple(caster(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"job field {name!r} expects a list of "
-            f"{caster.__name__}, got {value!r}"
-        ) from None
+def _suites() -> list[str]:
+    from ..experiments.suite import SUITE_BUILDERS
+
+    return sorted(SUITE_BUILDERS)
+
+
+def _policies() -> list[str]:
+    from ..stream.policy import POLICY_BUILDERS
+
+    return sorted(POLICY_BUILDERS)
+
+
+def _figures() -> tuple[str, ...]:
+    from ..campaign.runner import FIGURE_NAMES
+
+    return FIGURE_NAMES + ("all",)
+
+
+_SCENARIO_HELP = "scenario preset name"
 
 
 @_register
 @dataclass(frozen=True)
 class SweepJob(JobSpec):
-    """The resumable SNR-sweep campaign of one scenario."""
+    """Run the resumable SNR-sweep campaign of a scenario."""
 
     kind: ClassVar[str] = "sweep"
-    scenario: str = "reduced"
-    snrs: tuple | None = None
-    num_sets: int | None = None
-    suite: str = "baseline"
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "snrs", _as_tuple(self.snrs, float, "snrs")
-        )
+    takes: ClassVar[frozenset[str]] = frozenset({"robustness"})
+    scenario: str = param("reduced", _SCENARIO_HELP)
+    snrs: tuple[float, ...] | None = param(
+        None, "SNR grid in dB (default: the scenario's grid)"
+    )
+    num_sets: int | None = param(
+        None, "limit the measurement sets per point"
+    )
+    suite: str = param(
+        "baseline",
+        "estimator line-up evaluated per point",
+        choices=_suites,
+    )
 
 
 @_register
 @dataclass(frozen=True)
 class TrainJob(JobSpec):
-    """Train the Table 2 VVD variants through the checkpoint registry."""
+    """Train every Table 2 VVD variant through the checkpoint registry."""
 
     kind: ClassVar[str] = "train"
-    scenario: str = "reduced"
-    combinations: int | None = None
-    horizons: tuple = (0,)
-    seed: int = 7
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "horizons", _as_tuple(self.horizons, int, "horizons")
-        )
+    takes: ClassVar[frozenset[str]] = frozenset({"robustness", "model_dir"})
+    scenario: str = param("reduced", _SCENARIO_HELP)
+    combinations: int | None = param(
+        None, "limit the Table 2 combinations trained (default: all)"
+    )
+    horizons: tuple[int, ...] = param(
+        (0,),
+        "prediction horizons in camera frames (0 = VVD-Current; "
+        "'0 1 3' pre-trains every Fig. 11 variant)",
+    )
+    seed: int = param(7, "weight-init / shuffle seed of every variant")
 
 
 @_register
@@ -130,15 +278,26 @@ class FigureJob(JobSpec):
     """Render paper tables/figures from the cached evaluation bundle."""
 
     kind: ClassVar[str] = "figure"
-    names: tuple = ()
-    scenario: str = "reduced"
-    combinations: int = 3
-    seed: int = 7
+    takes: ClassVar[frozenset[str]] = frozenset({"model_dir"})
+    names: tuple[str, ...] = param(
+        (),
+        "figures/tables to render ('all' = the full report)",
+        choices=_figures,
+        unknown=NotFoundError,
+        positional=True,
+    )
+    scenario: str = param("reduced", _SCENARIO_HELP)
+    combinations: int = param(
+        3, "Table 2 combinations evaluated (15 = full)"
+    )
+    seed: int = param(
+        7,
+        "VVD training seed; match the `repro train --seed` that warmed "
+        "the model registry so figures retrain nothing",
+    )
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "names", _as_tuple(self.names, str, "names") or ()
-        )
+        super().__post_init__()
         if not self.names:
             raise ConfigurationError(
                 "figure job needs at least one figure name "
@@ -149,49 +308,112 @@ class FigureJob(JobSpec):
 @_register
 @dataclass(frozen=True)
 class StreamJob(JobSpec):
-    """Closed-loop link adaptation over N concurrent links."""
+    """Run closed-loop link adaptation over N concurrent links."""
 
     kind: ClassVar[str] = "stream"
-    scenario: str = "stream-smoke"
-    links: int | None = None
-    slots: int | None = None
-    policies: tuple = ("proactive", "reactive")
-    deadline_slots: int = 3
-    horizon: int = 0
-    seed: int = 7
-    defer_threshold: float | None = None
-    round_deadline: float | None = None
-    traffic: str | None = None
-    qos: str | None = None
+    takes: ClassVar[frozenset[str]] = frozenset(
+        {"jobs", "robustness", "model_dir"}
+    )
+    scenario: str = param("stream-smoke", _SCENARIO_HELP)
+    links: int | None = param(
+        None,
+        "concurrent links replayed (default: the scenario's "
+        "stream_links)",
+    )
+    slots: int | None = param(
+        None,
+        "packet slots per link (default: the scenario's packets-per-set)",
+    )
+    policies: tuple[str, ...] = param(
+        ("proactive", "reactive"),
+        "link-adaptation policies simulated (each gets its own pass "
+        "over the same event stream)",
+        choices=_policies,
+    )
+    deadline_slots: int = param(
+        3, "slots a packet may wait before it counts as a deadline miss"
+    )
+    horizon: int = param(
+        0,
+        "prediction horizon in camera frames of the serving model "
+        "(compensates camera->decision latency)",
+    )
+    seed: int = param(
+        7,
+        "serving-model training seed; match `repro train --seed` to "
+        "reuse its checkpoints",
+    )
+    defer_threshold: float | None = param(
+        None,
+        "proactive blockage-probability defer threshold (default: the "
+        "policy's 0.9; 1.0 disables deferral)",
+    )
+    round_deadline: float | None = param(
+        None,
+        "wall-time budget in seconds of one micro-batched prediction "
+        "round; an overrunning or failing round degrades to the "
+        "reactive fallback for that slot instead of aborting",
+    )
+    traffic: str | None = param(
+        None,
+        "arrival-process spec for the modeled SLA appendix "
+        "(periodic[:pps], poisson:pps, onoff:pps:on_s:off_s, "
+        "diurnal:pps:period_s:depth, or 'mixed'; default: the "
+        "scenario's traffic, usually 'periodic' = replay only)",
+    )
+    qos: str | None = param(
+        None,
+        "QoS class mix of the modeled SLA appendix ('uniform' or "
+        "'triple'; default: the scenario's qos)",
+    )
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "policies", _as_tuple(self.policies, str, "policies")
-        )
+        super().__post_init__()
         if not self.policies:
-            raise ConfigurationError(
-                "stream job needs at least one policy"
-            )
+            raise ConfigurationError("stream job needs at least one policy")
 
 
 @_register
 @dataclass(frozen=True)
 class CapacityJob(JobSpec):
-    """Modeled serving-fleet sweep over link counts (pure queueing)."""
+    """Sweep a modeled serving fleet over link counts (pure queueing)."""
 
     kind: ClassVar[str] = "capacity"
-    links: tuple = (16, 32, 64, 96, 128)
-    duration: float = 30.0
-    traffic: str = "mixed"
-    qos: str = "triple"
-    seed: int = 7
-    service_pps: float = 900.0
-    admission_limit: int = 512
+    takes: ClassVar[frozenset[str]] = frozenset({"jobs", "robustness"})
+    links: tuple[int, ...] = param(
+        (16, 32, 64, 96, 128),
+        "link counts swept (one modeled capacity point each)",
+    )
+    duration: float = param(
+        30.0, "simulated horizon in seconds per point"
+    )
+    traffic: str = param(
+        "mixed",
+        "per-link arrival-process spec (periodic[:pps], poisson:pps, "
+        "onoff:pps:on_s:off_s, diurnal:pps:period_s:depth or 'mixed' = "
+        "rotate all four across links)",
+    )
+    qos: str = param(
+        "triple",
+        "QoS class mix ('uniform' or 'triple' = gold/silver/bronze "
+        "deadlines)",
+    )
+    seed: int = param(
+        7,
+        "arrival-process / class-assignment seed (same seed, "
+        "byte-identical payloads — across --jobs and machines)",
+    )
+    service_pps: float = param(
+        900.0, "modeled prediction-backend throughput in predictions/s"
+    )
+    admission_limit: int = param(
+        512,
+        "admission-controlled queue depth; arrivals beyond it shed the "
+        "youngest lower-priority request (or themselves)",
+    )
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "links", _as_tuple(self.links, int, "links")
-        )
+        super().__post_init__()
         if not self.links:
             raise ConfigurationError(
                 "capacity job needs at least one link count"
@@ -201,14 +423,31 @@ class CapacityJob(JobSpec):
 @_register
 @dataclass(frozen=True)
 class GridJob(JobSpec):
-    """Expand a parametric grid and evaluate every derived scenario."""
+    """Expand a parametric scenario grid and evaluate every member."""
 
     kind: ClassVar[str] = "grid"
-    grid: str = "smoke-grid"
-    suite: str = "quick"
-    vvd: bool = False
-    horizon: int = 0
-    seed: int = 7
+    takes: ClassVar[frozenset[str]] = frozenset(
+        {"jobs", "robustness", "model_dir"}
+    )
+    grid: str = param("smoke-grid", "grid spec name (see list-scenarios)")
+    suite: str = param(
+        "quick",
+        "estimator line-up evaluated per derived scenario",
+        choices=_suites,
+    )
+    vvd: bool = param(
+        False,
+        "resolve a VVD model per grid point through the model "
+        "checkpoint registry (implied by a 'horizon' grid axis)",
+    )
+    horizon: int = param(
+        0,
+        "VVD prediction horizon used with --vvd (a 'horizon' grid axis "
+        "overrides it per member)",
+    )
+    seed: int = param(
+        7, "VVD training seed of --vvd / horizon-axis members"
+    )
 
 
 def job_from_dict(data: dict) -> JobSpec:

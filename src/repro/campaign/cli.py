@@ -65,72 +65,103 @@ points (``--no-quarantine`` restores abort-on-first-failure).
 ``--faults <plan>`` arms a seeded fault-injection plan (chaos testing);
 runs that quarantined anything exit 3.
 
-Orchestration itself lives in :mod:`repro.api`: every campaign
-subcommand builds a typed :class:`~repro.api.jobs.JobSpec` from its
-parsed arguments and hands it to :func:`repro.api.prepare` — the same
-facade the ``repro serve`` HTTP handlers and third-party code call —
-so a campaign behaves identically no matter which surface submitted
-it.  Exit codes come from the :mod:`repro.api.errors` table.
+Orchestration itself lives in :mod:`repro.api`.  The six campaign
+subcommands are rendered from the job dataclasses and the run/host
+option classes, field by field; each builds its typed
+:class:`~repro.api.jobs.JobSpec` from the parsed arguments and hands
+it to :func:`repro.api.prepare` — the same facade the ``repro serve``
+HTTP handlers and third-party code call — so a campaign behaves
+identically no matter which surface submitted it.  Exit codes come
+from the :mod:`repro.api.errors` table.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from ..api import errors as api_errors
-from ..api.facade import RunOptions, prepare
-from ..api.jobs import (
-    CapacityJob,
-    FigureJob,
-    GridJob,
-    JobSpec,
-    StreamJob,
-    SweepJob,
-    TrainJob,
-)
+from ..api.facade import HostOptions, RunOptions, prepare
+from ..api.jobs import JOB_KINDS, field_shapes
 from ..errors import ReproError
-from ..experiments.suite import SUITE_BUILDERS
 from ..obs import analysis as obs_analysis, log
-from ..stream.policy import POLICY_BUILDERS
 from .cache import DatasetCache
 from .grid import list_grids
-from .options import add_option_group
-from .runner import FIGURE_NAMES
 from .scenario import get_scenario, list_scenarios
 
 
-def _run_options(args: argparse.Namespace) -> RunOptions:
-    """Map parsed campaign arguments onto facade run options."""
-    return RunOptions(
-        jobs=getattr(args, "jobs", 1),
-        fresh=getattr(args, "fresh", False),
-        retries=getattr(args, "retries", 3),
-        step_timeout=getattr(args, "step_timeout", None),
-        no_quarantine=getattr(args, "no_quarantine", False),
-        faults=getattr(args, "faults", None),
-        trace=getattr(args, "trace", False),
+def _add_fields(
+    parser: argparse.ArgumentParser,
+    cls: type,
+    takes: frozenset[str] = frozenset(),
+) -> None:
+    """Render the declared fields of a dataclass as ``parser`` arguments.
+
+    Flag, type, ``nargs``, default, choices and help all come from the
+    field's declaration (:func:`repro.api.jobs.param`); a field with a
+    ``gate`` is rendered only when ``takes`` names the gate.
+    """
+    for spec_field, kind, element, _ in field_shapes(cls):
+        meta = spec_field.metadata
+        gate = meta.get("gate")
+        if gate is not None and gate not in takes:
+            continue
+        kwargs = {"help": meta["help"]}
+        choices = meta.get("choices")
+        if choices is not None:
+            kwargs["choices"] = choices() if callable(choices) else choices
+        if kind is bool:
+            kwargs["action"] = "store_true"
+        if kind is tuple:
+            kwargs["nargs"] = "+"
+            kind = element
+        if kind in (int, float):
+            kwargs["type"] = kind
+        if meta.get("positional"):
+            parser.add_argument(spec_field.name, **kwargs)
+            continue
+        default = spec_field.default
+        if "cli_default" in meta:
+            default = meta["cli_default"]()
+        # argparse hands nargs="+" values over as lists.
+        if isinstance(default, tuple):
+            default = list(default)
+        parser.add_argument(
+            "--" + spec_field.name.replace("_", "-"),
+            default=default,
+            **kwargs,
+        )
+
+
+def _from_args(cls: type, args: argparse.Namespace):
+    """An instance of ``cls`` from the parsed values of its fields."""
+    return cls(
+        **{
+            f.name: getattr(args, f.name)
+            for f in fields(cls)
+            if hasattr(args, f.name)
+        }
     )
 
 
-def _run_campaign_command(
-    spec: JobSpec, args: argparse.Namespace
-) -> int:
+# -- subcommands --------------------------------------------------------
+def _cmd_campaign(args: argparse.Namespace) -> int:
     """Prepare, run and print one campaign; returns the exit code."""
+    host = _from_args(HostOptions, args)
     handle = prepare(
-        spec,
-        cache_dir=args.cache_dir,
-        model_dir=getattr(args, "model_dir", None),
-        workers=args.workers,
-        verbose=args.verbose,
+        _from_args(JOB_KINDS[args.command], args),
+        cache_dir=host.cache_dir,
+        model_dir=host.model_dir,
+        workers=host.workers,
+        verbose=host.verbose,
     )
-    outcome = handle.run(_run_options(args))
+    outcome = handle.run(_from_args(RunOptions, args))
     log.info(outcome.text)
     return outcome.exit_code
 
 
-# -- subcommands --------------------------------------------------------
 def _cmd_list_scenarios(args: argparse.Namespace) -> int:
     scenarios = list_scenarios()
     name_width = max(len(s.name) for s in scenarios)
@@ -184,77 +215,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     )
     log.info(f"cache: {cache.stats.summary()}")
     return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = SweepJob(
-        scenario=args.scenario,
-        snrs=tuple(args.snrs) if args.snrs else None,
-        num_sets=args.num_sets,
-        suite=args.suite,
-    )
-    return _run_campaign_command(spec, args)
-
-
-def _cmd_train(args: argparse.Namespace) -> int:
-    spec = TrainJob(
-        scenario=args.scenario,
-        combinations=args.combinations,
-        horizons=tuple(args.horizons),
-        seed=args.seed,
-    )
-    return _run_campaign_command(spec, args)
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    spec = FigureJob(
-        names=tuple(args.names),
-        scenario=args.scenario,
-        combinations=args.combinations,
-        seed=args.seed,
-    )
-    return _run_campaign_command(spec, args)
-
-
-def _cmd_stream(args: argparse.Namespace) -> int:
-    spec = StreamJob(
-        scenario=args.scenario,
-        links=args.links,
-        slots=args.slots,
-        policies=tuple(args.policies),
-        deadline_slots=args.deadline_slots,
-        horizon=args.horizon,
-        seed=args.seed,
-        defer_threshold=args.defer_threshold,
-        round_deadline=args.round_deadline,
-        traffic=args.traffic,
-        qos=args.qos,
-    )
-    return _run_campaign_command(spec, args)
-
-
-def _cmd_capacity(args: argparse.Namespace) -> int:
-    spec = CapacityJob(
-        links=tuple(args.links),
-        duration=args.duration,
-        traffic=args.traffic,
-        qos=args.qos,
-        seed=args.seed,
-        service_pps=args.service_pps,
-        admission_limit=args.admission_limit,
-    )
-    return _run_campaign_command(spec, args)
-
-
-def _cmd_grid(args: argparse.Namespace) -> int:
-    spec = GridJob(
-        grid=args.grid,
-        suite=args.suite,
-        vvd=bool(args.vvd),
-        horizon=args.horizon,
-        seed=args.seed,
-    )
-    return _run_campaign_command(spec, args)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -405,10 +365,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser (exposed for tests and docs).
 
-    Shared options render from the one table in
-    :mod:`repro.campaign.options` — the same table ``repro serve``
-    validates REST job options against — so flags cannot drift between
-    the CLI and the service.
+    The campaign subcommands are rendered from the job dataclasses
+    (:data:`~repro.api.jobs.JOB_KINDS`), :class:`RunOptions` and
+    :class:`HostOptions` — the same declarations that validate
+    :mod:`repro.api` calls and ``repro serve`` submissions — so flags
+    cannot drift between the CLI and the service.
     """
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -441,318 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="discard any cached entry and regenerate",
     )
-    add_option_group(p_generate, "common")
+    _add_fields(p_generate, HostOptions)
     p_generate.set_defaults(func=_cmd_generate)
 
-    p_sweep = sub.add_parser(
-        "sweep",
-        help="run the resumable SNR-sweep campaign of a scenario",
-    )
-    p_sweep.add_argument(
-        "--scenario", default="reduced", help="scenario preset name"
-    )
-    p_sweep.add_argument(
-        "--snrs",
-        type=float,
-        nargs="+",
-        default=None,
-        help="SNR grid in dB (default: the scenario's grid)",
-    )
-    p_sweep.add_argument(
-        "--num-sets",
-        type=int,
-        default=None,
-        help="limit the measurement sets per point",
-    )
-    p_sweep.add_argument(
-        "--suite",
-        default="baseline",
-        choices=sorted(SUITE_BUILDERS),
-        help="estimator line-up evaluated per point",
-    )
-    add_option_group(p_sweep, "execution", only=("fresh",))
-    add_option_group(p_sweep, "robustness")
-    add_option_group(p_sweep, "trace")
-    add_option_group(p_sweep, "common")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_train = sub.add_parser(
-        "train",
-        help="train every Table 2 VVD variant through the model "
-        "checkpoint registry",
-    )
-    p_train.add_argument(
-        "--scenario", default="reduced", help="scenario preset name"
-    )
-    p_train.add_argument(
-        "--combinations",
-        type=int,
-        default=None,
-        help="limit the Table 2 combinations trained (default: all)",
-    )
-    p_train.add_argument(
-        "--horizons",
-        type=int,
-        nargs="+",
-        default=[0],
-        help="prediction horizons in camera frames (0 = VVD-Current; "
-        "'0 1 3' pre-trains every Fig. 11 variant)",
-    )
-    p_train.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="weight-init / shuffle seed of every variant",
-    )
-    add_option_group(p_train, "execution", only=("fresh",))
-    add_option_group(p_train, "robustness")
-    add_option_group(p_train, "trace")
-    add_option_group(p_train, "model")
-    add_option_group(p_train, "common")
-    p_train.set_defaults(func=_cmd_train)
-
-    p_figure = sub.add_parser(
-        "figure",
-        help="render paper tables/figures from the cached bundle",
-    )
-    p_figure.add_argument(
-        "names",
-        nargs="+",
-        choices=FIGURE_NAMES + ("all",),
-        help="figures/tables to render ('all' = the full report)",
-    )
-    p_figure.add_argument(
-        "--scenario", default="reduced", help="scenario preset name"
-    )
-    p_figure.add_argument(
-        "--combinations",
-        type=int,
-        default=3,
-        help="Table 2 combinations evaluated (15 = full)",
-    )
-    p_figure.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="VVD training seed; match the `repro train --seed` that "
-        "warmed the model registry so figures retrain nothing",
-    )
-    add_option_group(p_figure, "execution", only=("fresh",))
-    add_option_group(p_figure, "trace")
-    add_option_group(p_figure, "model")
-    add_option_group(p_figure, "common")
-    p_figure.set_defaults(func=_cmd_figure)
-
-    p_stream = sub.add_parser(
-        "stream",
-        help="run closed-loop link adaptation over N concurrent links",
-    )
-    p_stream.add_argument(
-        "--scenario",
-        default="stream-smoke",
-        help="scenario preset name",
-    )
-    p_stream.add_argument(
-        "--links",
-        type=int,
-        default=None,
-        help="concurrent links replayed (default: the scenario's "
-        "stream_links)",
-    )
-    p_stream.add_argument(
-        "--slots",
-        type=int,
-        default=None,
-        help="packet slots per link (default: the scenario's "
-        "packets-per-set)",
-    )
-    p_stream.add_argument(
-        "--policies",
-        nargs="+",
-        default=["proactive", "reactive"],
-        choices=sorted(POLICY_BUILDERS),
-        help="link-adaptation policies simulated (each gets its own "
-        "pass over the same event stream)",
-    )
-    p_stream.add_argument(
-        "--deadline-slots",
-        type=int,
-        default=3,
-        help="slots a packet may wait before it counts as a "
-        "deadline miss",
-    )
-    p_stream.add_argument(
-        "--horizon",
-        type=int,
-        default=0,
-        help="prediction horizon in camera frames of the serving model "
-        "(compensates camera->decision latency)",
-    )
-    p_stream.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="serving-model training seed; match `repro train --seed` "
-        "to reuse its checkpoints",
-    )
-    p_stream.add_argument(
-        "--defer-threshold",
-        type=float,
-        default=None,
-        help="proactive blockage-probability defer threshold "
-        "(default: the policy's 0.9; 1.0 disables deferral)",
-    )
-    p_stream.add_argument(
-        "--round-deadline",
-        type=float,
-        default=None,
-        help="wall-time budget in seconds of one micro-batched "
-        "prediction round; an overrunning or failing round degrades "
-        "to the reactive fallback for that slot instead of aborting",
-    )
-    p_stream.add_argument(
-        "--traffic",
-        default=None,
-        help="arrival-process spec for the modeled SLA appendix "
-        "(periodic[:pps], poisson:pps, onoff:pps:on_s:off_s, "
-        "diurnal:pps:period_s:depth, or 'mixed'; default: the "
-        "scenario's traffic, usually 'periodic' = replay only)",
-    )
-    p_stream.add_argument(
-        "--qos",
-        default=None,
-        help="QoS class mix of the modeled SLA appendix ('uniform' or "
-        "'triple'; default: the scenario's qos)",
-    )
-    add_option_group(
-        p_stream,
-        "execution",
-        help_overrides={
-            "jobs": "worker processes running independent per-policy "
-            "simulations concurrently (1 = serial)",
-        },
-    )
-    add_option_group(p_stream, "robustness")
-    add_option_group(p_stream, "trace")
-    add_option_group(p_stream, "model")
-    add_option_group(p_stream, "common")
-    p_stream.set_defaults(func=_cmd_stream)
-
-    p_capacity = sub.add_parser(
-        "capacity",
-        help="sweep the modeled serving fleet over link counts: "
-        "heterogeneous traffic, QoS deadlines, admission control and "
-        "the links-sustained-vs-SLO capacity curve",
-    )
-    p_capacity.add_argument(
-        "--links",
-        type=int,
-        nargs="+",
-        default=[16, 32, 64, 96, 128],
-        help="link counts swept (one modeled capacity point each)",
-    )
-    p_capacity.add_argument(
-        "--duration",
-        type=float,
-        default=30.0,
-        help="simulated horizon in seconds per point",
-    )
-    p_capacity.add_argument(
-        "--traffic",
-        default="mixed",
-        help="per-link arrival-process spec (periodic[:pps], "
-        "poisson:pps, onoff:pps:on_s:off_s, diurnal:pps:period_s:depth "
-        "or 'mixed' = rotate all four across links)",
-    )
-    p_capacity.add_argument(
-        "--qos",
-        default="triple",
-        help="QoS class mix ('uniform' or 'triple' = "
-        "gold/silver/bronze deadlines)",
-    )
-    p_capacity.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="arrival-process / class-assignment seed (same seed, "
-        "byte-identical payloads — across --jobs and machines)",
-    )
-    p_capacity.add_argument(
-        "--service-pps",
-        type=float,
-        default=900.0,
-        help="modeled prediction-backend throughput in predictions/s",
-    )
-    p_capacity.add_argument(
-        "--admission-limit",
-        type=int,
-        default=512,
-        help="admission-controlled queue depth; arrivals beyond it "
-        "shed the youngest lower-priority request (or themselves)",
-    )
-    add_option_group(
-        p_capacity,
-        "execution",
-        help_overrides={
-            "jobs": "worker processes simulating independent capacity "
-            "points concurrently (1 = serial; results are "
-            "byte-identical either way)",
-        },
-    )
-    add_option_group(p_capacity, "robustness")
-    add_option_group(p_capacity, "trace")
-    add_option_group(p_capacity, "common")
-    p_capacity.set_defaults(func=_cmd_capacity)
-
-    p_grid = sub.add_parser(
-        "grid",
-        help="expand a parametric scenario grid and evaluate every "
-        "derived scenario on a parallel wavefront",
-    )
-    p_grid.add_argument(
-        "--grid",
-        default="smoke-grid",
-        help="grid spec name (see list-scenarios)",
-    )
-    p_grid.add_argument(
-        "--suite",
-        default="quick",
-        choices=sorted(SUITE_BUILDERS),
-        help="estimator line-up evaluated per derived scenario",
-    )
-    p_grid.add_argument(
-        "--vvd",
-        action="store_true",
-        help="resolve a VVD model per grid point through the model "
-        "checkpoint registry (implied by a 'horizon' grid axis)",
-    )
-    p_grid.add_argument(
-        "--horizon",
-        type=int,
-        default=0,
-        help="VVD prediction horizon used with --vvd (a 'horizon' "
-        "grid axis overrides it per member)",
-    )
-    p_grid.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="VVD training seed of --vvd / horizon-axis members",
-    )
-    add_option_group(
-        p_grid,
-        "execution",
-        help_overrides={
-            "jobs": "worker processes scheduling independent grid "
-            "points concurrently (1 = serial; results are "
-            "byte-identical either way)",
-        },
-    )
-    add_option_group(p_grid, "robustness")
-    add_option_group(p_grid, "trace")
-    add_option_group(p_grid, "model")
-    add_option_group(p_grid, "common")
-    p_grid.set_defaults(func=_cmd_grid)
+    for kind, cls in JOB_KINDS.items():
+        # Help in the style of the other subcommands: "run the ...".
+        summary = cls.__doc__.splitlines()[0].rstrip(".")
+        p_kind = sub.add_parser(kind, help=summary[0].lower() + summary[1:])
+        for options in (cls, RunOptions, HostOptions):
+            _add_fields(p_kind, options, cls.takes)
+        p_kind.set_defaults(func=_cmd_campaign)
 
     p_serve = sub.add_parser(
         "serve",
@@ -777,8 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="campaign worker slots: jobs executed concurrently "
         "(further submissions queue)",
     )
-    add_option_group(p_serve, "model")
-    add_option_group(p_serve, "common")
+    _add_fields(p_serve, HostOptions, frozenset({"model_dir"}))
     p_serve.set_defaults(func=_cmd_serve)
 
     p_scenarios = sub.add_parser(
@@ -849,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="with 'clear': remove only this cache key",
     )
-    add_option_group(p_cache, "common")
+    _add_fields(p_cache, HostOptions)
     p_cache.set_defaults(func=_cmd_cache)
 
     p_trace = sub.add_parser(

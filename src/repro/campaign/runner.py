@@ -40,12 +40,14 @@ Two campaign shapes are provided:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -265,7 +267,10 @@ def _supervised_entry(
     so the parent either sees a complete outcome or none at all.  The
     ``worker.body`` fault site fires here, in the child, which is what
     makes injected crash faults kill a worker and never the scheduler.
+    The worker leads a process group of its own, so the scheduler can
+    kill what it forks (a dataset process pool) along with it.
     """
+    os.setpgid(0, 0)
     try:
         with trace.span("worker.body", step=step_id):
             faults.inject("worker.body", step_id)
@@ -344,7 +349,7 @@ class _WorkerJob:
         :class:`WorkerCrashError`.  Both are transient, so the retry
         policy requeues the step.
         """
-        if self.process.is_alive():
+        if not self._dead():
             if self.deadline is None or time.monotonic() < self.deadline:
                 return None
             self._kill()
@@ -356,7 +361,7 @@ class _WorkerJob:
                     "worker killed and step requeued"
                 ),
             )
-        self._release()
+        self._reap()
         if self.result_path.exists():
             return self._collect()
         return (
@@ -384,22 +389,40 @@ class _WorkerJob:
         self.result_path.unlink(missing_ok=True)
         return (status, value)
 
+    def _dead(self) -> bool:
+        """Whether the worker has exited; a dead worker stays unreaped."""
+        if not hasattr(os, "waitid"):  # pragma: no cover - reaps at once
+            return not self.process.is_alive()
+        try:
+            flags = os.WEXITED | os.WNOHANG | os.WNOWAIT
+            return os.waitid(os.P_PID, self.process.pid, flags) is not None
+        except ChildProcessError:  # reaped already
+            return True
+
     def _exited(self, timeout_s: float) -> bool:
-        """Wait up to ``timeout_s`` for the worker to exit; reap it."""
+        """Wait up to ``timeout_s`` for the worker to exit."""
         multiprocessing.connection.wait([self.exit_handle], timeout_s)
-        return not self.process.is_alive()
+        return self._dead()
 
     def _kill(self) -> None:
-        """Terminate (then kill) the worker process and reap it."""
+        """Terminate (then kill) the worker, reap it, drop its result."""
         self.process.terminate()
         if not self._exited(2.0):  # pragma: no cover - stuck in D
             self.process.kill()
             self._exited(2.0)
-        self._release()
+        self._reap()
         self.result_path.unlink(missing_ok=True)
 
-    def _release(self) -> None:
-        """Close the pidfd once the worker is settled."""
+    def _reap(self) -> None:
+        """Kill the rest of the worker's process group, then reap it.
+
+        The unreaped worker keeps its pid, the group's id, reserved, so
+        the signal cannot reach a process that reused it.  Closes the
+        pidfd once the worker is settled.
+        """
+        with contextlib.suppress(ProcessLookupError, PermissionError):
+            os.killpg(self.process.pid, signal.SIGKILL)
+        self.process.is_alive()  # reaps a dead worker without blocking
         if self.pidfd is not None:
             os.close(self.pidfd)
             self.pidfd = None
@@ -702,6 +725,10 @@ class _Wavefront:
             args=(fn, dict(kwargs), str(result_path), step.step_id),
         )
         process.start()
+        # The worker sets its group too; whichever call runs first
+        # makes it exist before anything signals it.
+        with contextlib.suppress(OSError):  # the worker already exited
+            os.setpgid(process.pid, process.pid)
         try:
             pidfd = os.pidfd_open(process.pid)
         except (AttributeError, OSError):  # no pidfd: wait on the sentinel

@@ -44,10 +44,9 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..api import errors as api_errors
-from ..api.facade import RunOptions, prepare
+from ..api.facade import RunOptions, prepare, validate_job_options
 from ..api.jobs import job_from_dict
 from ..campaign.cache import DatasetCache
-from ..campaign.options import validate_job_options
 from ..errors import (
     ConfigurationError,
     NotFoundError,
@@ -171,10 +170,11 @@ class ReproDaemon:
     def submit(self, payload: dict) -> tuple[dict, bool]:
         """Validate and enqueue one job submission.
 
-        The spec is resolved through :func:`repro.api.prepare` before
+        The spec and options are checked by their dataclasses and the
+        spec is resolved through :func:`repro.api.prepare` before
         anything is persisted, so bad scenario/grid/figure names are
-        rejected with 404 and malformed options with 400 — using
-        exactly the validation the CLI parser applies.  The prepared
+        rejected with 404 and malformed fields or options with 400 —
+        exactly the checks the CLI applies.  The prepared
         handle's directory basename becomes the job id, which is what
         makes concurrent identical submissions collapse to one run.
         """
@@ -262,7 +262,12 @@ class ReproDaemon:
                 workers=self._job_workers(options),
                 verbose=self._job_verbose(options),
             )
-            outcome = handle.run(RunOptions.from_mapping(options))
+            run = {
+                k: v
+                for k, v in options.items()
+                if k in RunOptions.__dataclass_fields__
+            }
+            outcome = handle.run(RunOptions(**run))
         except Exception as exc:
             code = api_errors.classify_exception(exc)
             self.queue.mark(

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
-from repro.campaign.cli import main
+from repro.api.jobs import JOB_KINDS
+from repro.campaign.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +19,24 @@ def populated_cache(tmp_path_factory):
     )
     assert code == 0
     return cache_dir
+
+
+class TestHelp:
+    def test_every_subcommand_formats_its_help(self):
+        # argparse %-formats help text only when asked: a stray "%" in
+        # a declared help string passes every parse and breaks --help.
+        parser = build_parser()
+        (subparsers,) = [
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(JOB_KINDS) <= set(subparsers.choices)
+        assert parser.format_help()
+        for name, subparser in subparsers.choices.items():
+            assert subparser.format_help().startswith(
+                f"usage: repro {name}"
+            )
 
 
 class TestListScenarios:

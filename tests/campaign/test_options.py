@@ -1,39 +1,47 @@
-"""The shared option table: parser rendering and REST validation.
+"""The shared option declarations: parser rendering and REST validation.
 
-The same :class:`~repro.campaign.options.OptionSpec` rows drive every
-subcommand's argparse flags and the daemon's job-option validation, so
-these tests are drift detectors: if a subcommand stops rendering the
-table, or the service accepts an option the CLI doesn't (or vice
-versa), something here fails.
+The fields of :class:`~repro.api.facade.RunOptions` and
+:class:`~repro.api.facade.HostOptions` drive every subcommand's
+argparse flags and the daemon's job-option validation, so these tests
+are drift detectors: if a subcommand stops rendering the declarations,
+or the service accepts an option the CLI doesn't (or vice versa),
+something here fails.
 """
 
 from __future__ import annotations
 
 import argparse
+from dataclasses import fields
 
 import pytest
 
-from repro.campaign.cli import build_parser
-from repro.campaign.options import (
-    OPTION_GROUPS,
+from repro.api.facade import (
     SERVICE_OPTIONS,
-    add_option_group,
+    HostOptions,
+    RunOptions,
     default_workers,
-    iter_options,
     validate_job_options,
 )
+from repro.api.jobs import JOB_KINDS
+from repro.campaign.cli import build_parser
 from repro.errors import ConfigurationError
 
-#: Option groups each campaign subcommand must render (the contract
-#: between the CLI surface and the service job options).
-EXPECTED_GROUPS = {
-    "sweep": ["common", "robustness", "trace"],
-    "train": ["common", "model", "robustness", "trace"],
-    "figure": ["common", "model", "trace"],
-    "stream": ["common", "model", "robustness", "trace", "execution"],
-    "capacity": ["common", "robustness", "trace", "execution"],
-    "grid": ["common", "model", "robustness", "trace", "execution"],
+#: Option gates each campaign kind takes (the contract between the CLI
+#: surface and the service job options).
+EXPECTED_TAKES = {
+    "sweep": {"robustness"},
+    "train": {"model_dir", "robustness"},
+    "figure": {"model_dir"},
+    "stream": {"jobs", "model_dir", "robustness"},
+    "capacity": {"jobs", "robustness"},
+    "grid": {"jobs", "model_dir", "robustness"},
 }
+
+
+def _cli_default(option):
+    if "cli_default" in option.metadata:
+        return option.metadata["cli_default"]()
+    return option.default
 
 
 def _parse_defaults(command: str) -> argparse.Namespace:
@@ -42,22 +50,25 @@ def _parse_defaults(command: str) -> argparse.Namespace:
 
 
 class TestParserRendersTable:
-    @pytest.mark.parametrize("command", sorted(EXPECTED_GROUPS))
+    @pytest.mark.parametrize("command", sorted(EXPECTED_TAKES))
     def test_subcommand_defaults_match_table(self, command, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)
+        assert JOB_KINDS[command].takes == EXPECTED_TAKES[command]
         args = _parse_defaults(command)
-        for group in EXPECTED_GROUPS[command]:
-            for spec in OPTION_GROUPS[group]:
-                if not hasattr(args, spec.name):
-                    # `only=`-restricted rendering (e.g. sweep takes
-                    # --fresh but not --jobs) is covered separately.
+        for cls in (RunOptions, HostOptions):
+            for option in fields(cls):
+                gate = option.metadata.get("gate")
+                if gate is not None and gate not in EXPECTED_TAKES[command]:
+                    # Gated options (e.g. sweep takes --fresh but not
+                    # --jobs) are covered separately.
+                    assert not hasattr(args, option.name)
                     continue
-                assert getattr(args, spec.name) == spec.resolve_default(), (
-                    f"{command} --{spec.flag} default drifted from the "
-                    "option table"
+                assert getattr(args, option.name) == _cli_default(option), (
+                    f"{command} --{option.name} default drifted from "
+                    "its declaration"
                 )
 
-    @pytest.mark.parametrize("command", sorted(EXPECTED_GROUPS))
+    @pytest.mark.parametrize("command", sorted(EXPECTED_TAKES))
     def test_subcommand_accepts_common_flags(self, command):
         argv = {"figure": [command, "table2"]}.get(command, [command])
         args = build_parser().parse_args(
@@ -85,18 +96,6 @@ class TestParserRendersTable:
         monkeypatch.setenv("REPRO_BENCH_WORKERS", "junk")
         assert default_workers() is None
 
-    def test_iter_options_rejects_unknown_group(self):
-        with pytest.raises(ConfigurationError, match="unknown option group"):
-            iter_options("nope")
-
-    def test_add_option_group_help_override(self):
-        parser = argparse.ArgumentParser()
-        add_option_group(
-            parser, "execution", help_overrides={"jobs": "custom help"}
-        )
-        actions = {a.dest: a for a in parser._actions}
-        assert actions["jobs"].help == "custom help"
-
 
 class TestServiceOptions:
     def test_host_side_options_are_excluded(self):
@@ -107,9 +106,9 @@ class TestServiceOptions:
 
     def test_service_names_are_a_subset_of_the_table(self):
         table_names = {
-            spec.name
-            for group in OPTION_GROUPS.values()
-            for spec in group
+            option.name
+            for cls in (RunOptions, HostOptions)
+            for option in fields(cls)
         }
         assert set(SERVICE_OPTIONS) <= table_names
 

@@ -4,7 +4,8 @@
 These pins cover what the executor promises beyond payload identity:
 a fault-free ``jobs=1`` run keeps the topological order and forks
 nothing, the scheduler waits on its workers without sleep-polling and
-notices a dead worker even while a process it forked lives on, a
+notices a dead worker even while a process it forked lives on (and
+kills that process with it), a
 retry backoff holds up no independent step, and the run keeps no
 reference cycle that would pin ``context.shared`` memos in memory.
 """
@@ -64,6 +65,21 @@ def _orphan_then_die(pid_file: str) -> str:
         os._exit(0)
     path.write_text(str(child))
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _dead_within(pid: int, timeout_s: float) -> bool:
+    """Whether process ``pid`` is gone or a zombie within ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return True
+        if stat.rsplit(")", 1)[1].split()[0] == "Z":
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
 
 
 class _Memo:
@@ -175,6 +191,8 @@ def test_worker_death_is_noticed_while_its_child_lives(
             context, jobs=2, retry=RetryPolicy(max_attempts=2)
         )
         elapsed = time.monotonic() - started
+        # The orphan went down with the dead worker's process group.
+        assert _dead_within(int(pid_file.read_text()), 2.0)
     finally:
         if pid_file.exists():
             try:

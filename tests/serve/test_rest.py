@@ -14,6 +14,8 @@ import json
 import pytest
 
 from repro.api import CapacityJob
+from repro.api.facade import SERVICE_OPTIONS
+from repro.campaign.cli import main as cli_main
 from repro.serve import ReproDaemon, ServeClient
 
 CAPACITY = {"kind": "capacity", "links": [2, 4], "duration": 0.5}
@@ -108,6 +110,24 @@ class TestErrorStatuses:
         response = client.submit(CAPACITY, options={"cache_dir": "/x"})
         assert response.status == 400
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "grid", "vvd": "no"},
+            {"kind": "train", "seed": "seven"},
+            {"kind": "sweep", "suite": "bogus"},
+            {"kind": "capacity", "links": True},
+        ],
+        ids=["vvd-no", "seed-seven", "suite-bogus", "links-true"],
+    )
+    def test_mistyped_spec_field_is_400_and_queues_nothing(
+        self, client, spec
+    ):
+        response = client.submit(spec)
+        assert response.status == 400
+        assert response.json()["code"] == "invalid"
+        assert client.jobs().json()["jobs"] == []
+
     def test_unknown_scenario_is_404(self, client):
         response = client.submit({"kind": "sweep", "scenario": "atlantis"})
         assert response.status == 404
@@ -159,6 +179,46 @@ class TestErrorStatuses:
         response = client.submit(CAPACITY)
         assert response.status == 503
         assert response.json()["code"] == "unavailable"
+
+
+class TestJobIdentity:
+    """Checked submissions, without a running worker to claim them."""
+
+    @pytest.fixture
+    def idle(self, tmp_path):
+        return ReproDaemon(cache_dir=str(tmp_path), port=0, workers=1)
+
+    @staticmethod
+    def _submit(daemon, spec):
+        record, _ = daemon.submit({"kind": "capacity", "spec": spec})
+        return record
+
+    def test_integral_duration_is_one_job_across_surfaces(
+        self, idle, tmp_path, capsys
+    ):
+        ids = {
+            self._submit(idle, {"links": [2], "duration": duration})[
+                "job_id"
+            ]
+            for duration in (2, 2.0)
+        }
+        argv = ["capacity", "--links", "2", "--duration", "2"]
+        assert cli_main(argv + ["--cache-dir", str(tmp_path)]) == 0
+        (campaign,) = (tmp_path / "campaigns").iterdir()
+        assert ids == {campaign.name}
+
+    def test_omitted_workers_fall_back_to_the_daemon(
+        self, idle, monkeypatch
+    ):
+        # $REPRO_BENCH_WORKERS is the CLI's --workers default; it must
+        # not shadow the daemon's own --workers.
+        monkeypatch.setenv("REPRO_BENCH_WORKERS", "3")
+        record = self._submit(idle, {"links": [2], "duration": 0.5})
+        assert sorted(record["options"]) == sorted(SERVICE_OPTIONS)
+        assert len(record["options"]) == 9
+        assert record["options"]["workers"] is None
+        _, handle = idle.handle_for(record["job_id"])
+        assert handle.context.workers == 1
 
 
 class TestListing:

@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .. import blas, faults
+from .. import blas, faults, lifetime
 from ..config import SimulationConfig
 from ..dataset.generator import (
     _generate_set_task,
@@ -360,7 +360,8 @@ class DatasetCache:
                 pool_size = min(workers, len(missing))
                 # Forked workers inherit the one BLAS thread held here.
                 with blas.single_threaded(), ProcessPoolExecutor(
-                    max_workers=pool_size
+                    max_workers=pool_size,
+                    initializer=lifetime.die_with_parent,
                 ) as pool:
                     for measurement_set in pool.map(
                         _generate_set_task,

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .. import blas, faults
+from .. import blas, faults, lifetime
 from ..config import SimulationConfig
 from ..obs import log, metrics as obs_metrics, trace
 from ..dataset.sets import rotating_set_combinations
@@ -257,7 +257,11 @@ _SINGLE_ATTEMPT = RetryPolicy(max_attempts=1)
 
 
 def _supervised_entry(
-    fn: Callable, kwargs: dict, result_path: str, step_id: str
+    fn: Callable,
+    kwargs: dict,
+    result_path: str,
+    step_id: str,
+    scheduler_pid: int,
 ) -> None:
     """Body of a supervised worker process.
 
@@ -268,8 +272,12 @@ def _supervised_entry(
     ``worker.body`` fault site fires here, in the child, which is what
     makes injected crash faults kill a worker and never the scheduler.
     The worker leads a process group of its own, so the scheduler can
-    kill what it forks (a dataset process pool) along with it.
+    kill what it forks (a dataset process pool) along with it; being
+    out of the scheduler's group, it first arms the kernel's death
+    signal (:func:`repro.lifetime.die_with_parent`), so a scheduler
+    killed by a signal to its own group takes the worker down too.
     """
+    lifetime.die_with_parent(scheduler_pid)
     os.setpgid(0, 0)
     try:
         with trace.span("worker.body", step=step_id):
@@ -722,7 +730,9 @@ class _Wavefront:
         result_path.unlink(missing_ok=True)
         process = _mp_context().Process(
             target=_supervised_entry,
-            args=(fn, dict(kwargs), str(result_path), step.step_id),
+            args=(
+                fn, dict(kwargs), str(result_path), step.step_id, os.getpid()
+            ),
         )
         process.start()
         # The worker sets its group too; whichever call runs first

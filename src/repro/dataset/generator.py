@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import blas
+from .. import blas, lifetime
 from ..channel import IndoorEnvironment, build_walkers
 from ..channel.noise import awgn, noise_power_for_snr
 from ..config import SimulationConfig
@@ -460,7 +460,8 @@ def generate_dataset(
         pool_size = min(workers, num_sets)
         # Forked workers inherit the one BLAS thread held here.
         with blas.single_threaded(), ProcessPoolExecutor(
-            max_workers=pool_size
+            max_workers=pool_size,
+            initializer=lifetime.die_with_parent,
         ) as pool:
             sets = list(
                 pool.map(

@@ -5,6 +5,11 @@ validation sets, then decode every test-set packet with every technique
 under identical receiver processing.  Per packet the received waveform is
 re-synthesized once and shared across techniques — only the channel
 estimate differs, as in the paper.
+
+The offline loop decodes packet by packet through the scalar receiver
+(:meth:`EvaluationRunner.decode_packet`); the closed-loop stream decodes
+each slot's packets in one batch (:meth:`EvaluationRunner.
+decode_packets`), under the same processing.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from ..estimation.base import (
     ChannelEstimator,
     PacketContext,
 )
+from ..phy.frame import make_psdu
+from ..phy.receiver import DecodeResult
 from ..phy.transmitter import TransmittedPacket
 from .metrics import PacketOutcome, TechniqueResult
 
@@ -46,6 +53,7 @@ class CombinationResult:
     techniques: dict[str, TechniqueResult]
 
     def technique(self, name: str) -> TechniqueResult:
+        """The result of technique ``name`` (raises if it did not run)."""
         if name not in self.techniques:
             raise DatasetError(
                 f"no result for technique {name!r}; have "
@@ -93,11 +101,90 @@ class EvaluationRunner:
     ) -> PacketOutcome:
         """Decode one packet with one technique's estimate (Sec. 5.5)."""
         receiver = self.components.receiver
-        layout = receiver.layout
-        psdu_slice = layout.psdu_chip_slice
-        reference_chips = packet.chips[psdu_slice]
-        total_chips = len(reference_chips)
+        decoded = None
+        if estimate is not None:
+            if estimate.taps is None:
+                decoded = receiver.decode_standard(received)
+            else:
+                taps = estimate.taps
+                if estimate.needs_phase_alignment:
+                    theta = receiver.blind_phase_shift(received, taps)
+                    taps = correct_phase(taps, theta)
+                decoded = receiver.decode_with_estimate(received, taps)
+        return self._outcome(
+            estimate, decoded, packet.chips, packet.psdu, record
+        )
 
+    def decode_packets(
+        self,
+        estimates: Sequence[ChannelEstimate | None],
+        received: np.ndarray,
+        records: Sequence[PacketRecord],
+    ) -> list[PacketOutcome]:
+        """Row-wise :meth:`decode_packet` with one batched decode.
+
+        ``received[i]`` is the waveform of ``records[i]``, decoded with
+        ``estimates[i]``.  Blind estimates (all of one tap count) are
+        phase-aligned in one :meth:`~repro.phy.receiver.Receiver.
+        blind_phase_shift_batch` call, then every row with an estimate,
+        standard rows included, goes through one :meth:`~repro.phy.
+        receiver.Receiver.decode_batch` call.  The reference chips and
+        PSDU come from the packet's sequence number, without modulating
+        its waveform.  Phase angles and soft chips differ from the
+        scalar path's by rounding only, so the hard decisions, and with
+        them the outcomes, are :meth:`decode_packet`'s.
+        """
+        receiver = self.components.receiver
+        transmitter = self.components.transmitter
+        received = np.asarray(received)
+        rows = [
+            row for row, estimate in enumerate(estimates)
+            if estimate is not None
+        ]
+        taps = [estimates[row].taps for row in rows]
+        align = [
+            index
+            for index, row in enumerate(rows)
+            if taps[index] is not None
+            and estimates[row].needs_phase_alignment
+        ]
+        if align:
+            blind = np.stack([taps[index] for index in align])
+            thetas = receiver.blind_phase_shift_batch(
+                received[[rows[index] for index in align]], blind
+            )
+            aligned = blind * np.exp(1j * thetas)[:, None]
+            for index, row_taps in zip(align, aligned):
+                taps[index] = row_taps
+        decoded: dict[int, DecodeResult] = {}
+        if rows:
+            decoded = dict(
+                zip(rows, receiver.decode_batch(received[rows], taps))
+            )
+        psdu_bytes = transmitter.phy.psdu_bytes
+        return [
+            self._outcome(
+                estimate,
+                decoded.get(row),
+                transmitter.frame_chips(record.sequence_number),
+                make_psdu(record.sequence_number, psdu_bytes),
+                record,
+            )
+            for row, (estimate, record) in enumerate(zip(estimates, records))
+        ]
+
+    def _outcome(
+        self,
+        estimate: ChannelEstimate | None,
+        decoded: DecodeResult | None,
+        frame_chips: np.ndarray,
+        psdu: bytes,
+        record: PacketRecord,
+    ) -> PacketOutcome:
+        """Score one decode against the transmitted chips and PSDU."""
+        psdu_slice = self.components.receiver.layout.psdu_chip_slice
+        reference_chips = frame_chips[psdu_slice]
+        total_chips = len(reference_chips)
         if estimate is None:
             # Preamble-detection failure: the signal is assumed erroneous.
             return PacketOutcome(
@@ -107,27 +194,16 @@ class EvaluationRunner:
                 mse=None,
                 estimate_available=False,
             )
-
-        if estimate.taps is None:
-            decoded = receiver.decode_standard(received)
-        else:
-            taps = estimate.taps
-            if estimate.needs_phase_alignment:
-                theta = receiver.blind_phase_shift(received, taps)
-                taps = correct_phase(taps, theta)
-            decoded = receiver.decode_with_estimate(received, taps)
-
         chip_errors = int(
             np.sum(decoded.hard_chips[psdu_slice] != reference_chips)
         )
-        packet_error = decoded.psdu != packet.psdu
         mse = None
         if estimate.canonical_taps is not None:
             mse = complex_mse(
                 estimate.canonical_taps, record.h_ls_canonical
             )
         return PacketOutcome(
-            packet_error=bool(packet_error),
+            packet_error=decoded.psdu != psdu,
             chip_errors=chip_errors,
             total_chips=total_chips,
             mse=mse,

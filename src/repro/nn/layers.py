@@ -37,6 +37,7 @@ class Parameter:
         self.grad = np.zeros_like(value)
 
     def zero_grad(self) -> None:
+        """Reset the accumulated gradient to zero in place."""
         self.grad.fill(0.0)
 
 
@@ -53,17 +54,24 @@ class Layer:
         rng: np.random.Generator,
         dtype=np.float32,
     ) -> tuple[int, ...]:
+        """Allocate parameters for ``input_shape``; the output shape.
+
+        Shapes exclude the batch axis.  Stateless layers keep the shape.
+        """
         self.built = True
         self.dtype = dtype
         return input_shape
 
     def parameters(self) -> list[Parameter]:
+        """Trainable parameters of this layer (none by default)."""
         return []
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        """Output for the batch ``x``; caches what :meth:`backward` needs."""
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        """Input gradient of the last :meth:`forward` for ``grad``."""
         raise NotImplementedError
 
     def backward_params_only(self, grad: np.ndarray):
@@ -95,6 +103,7 @@ class Dense(Layer):
         self._cache_x: np.ndarray | None = None
 
     def build(self, input_shape, rng, dtype=np.float32):
+        """Glorot-initialize ``(fan_in, units)`` weights, zero bias."""
         if len(input_shape) != 1:
             raise ShapeError(
                 f"Dense expects flat input, got shape {input_shape}"
@@ -113,14 +122,21 @@ class Dense(Layer):
         return (self.units,)
 
     def parameters(self):
+        """The weight and bias parameters."""
         return [self.weight, self.bias]
 
     def forward(self, x, training=False):
+        """``x @ W + b`` over the ``(B, fan_in)`` batch.
+
+        One GEMM spans the whole batch, so the output bits depend on
+        the batch's row count (BLAS picks its kernels by shape).
+        """
         self._require_built()
         self._cache_x = x
         return x @ self.weight.value + self.bias.value
 
     def backward(self, grad):
+        """Accumulate weight/bias gradients; the input gradient."""
         x = self._cache_x
         self.weight.grad += x.T @ grad
         self.bias.grad += grad.sum(axis=0)
@@ -135,10 +151,12 @@ class ReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x, training=False):
+        """``max(x, 0)`` as ``x * (x > 0)``; caches the mask."""
         self._mask = x > 0
         return x * self._mask
 
     def backward(self, grad):
+        """Pass ``grad`` where the last input was positive."""
         return grad * self._mask
 
 
@@ -150,16 +168,19 @@ class Flatten(Layer):
         self._input_shape: tuple[int, ...] | None = None
 
     def build(self, input_shape, rng, dtype=np.float32):
+        """The flat per-sample shape ``(prod(input_shape),)``."""
         self.built = True
         self.dtype = dtype
         self._features = int(np.prod(input_shape))
         return (self._features,)
 
     def forward(self, x, training=False):
+        """Reshape ``(B, ...)`` to ``(B, features)`` (a view)."""
         self._input_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
+        """Reshape ``grad`` back to the last input's shape."""
         return grad.reshape(self._input_shape)
 
 
@@ -230,6 +251,7 @@ class Conv2D(Layer):
         return (h - kh) // self.stride + 1, (w - kw) // self.stride + 1
 
     def build(self, input_shape, rng, dtype=np.float32):
+        """Glorot-initialize ``(kh, kw, C, filters)`` kernels, zero bias."""
         if len(input_shape) != 3:
             raise ShapeError(
                 f"Conv2D expects (H, W, C) input, got {input_shape}"
@@ -260,6 +282,7 @@ class Conv2D(Layer):
         return (ho, wo, self.filters)
 
     def parameters(self):
+        """The kernel and bias parameters."""
         return [self.weight, self.bias]
 
     def _check_spatial(self, x: np.ndarray) -> tuple[int, int]:
@@ -276,6 +299,12 @@ class Conv2D(Layer):
         return self._output_hw(h, w)
 
     def forward(self, x, training=False):
+        """Valid convolution of the NHWC batch ``x``.
+
+        The im2col path computes every frame with its own GEMMs, so a
+        frame's output bits do not depend on the rest of the batch; the
+        reference path runs one GEMM across the batch.
+        """
         self._require_built()
         ho, wo = self._check_spatial(x)
         self._cache_input_shape = x.shape
@@ -284,6 +313,7 @@ class Conv2D(Layer):
         return self._forward_im2col(x, ho, wo)
 
     def backward(self, grad):
+        """Accumulate kernel/bias gradients; the input gradient."""
         if self.conv_impl == "reference":
             return self._backward_reference(grad)
         return self._backward_im2col(grad)
@@ -447,6 +477,7 @@ class AveragePooling2D(Layer):
         self._cache_input_shape: tuple[int, ...] | None = None
 
     def build(self, input_shape, rng, dtype=np.float32):
+        """The pooled shape ``(H // p, W // p, C)``."""
         h, w, c = input_shape
         p = self.pool_size
         if h < p or w < p:
@@ -458,15 +489,37 @@ class AveragePooling2D(Layer):
         return (h // p, w // p, c)
 
     def forward(self, x, training=False):
+        """Mean of every ``p x p`` block (trailing odd rows/cols dropped).
+
+        Sums the ``p * p`` strided views of ``x`` in row-major block
+        order, divides by ``p * p`` and adds ``+0.0``: the operations,
+        and so the bits, of ``blocks.mean(axis=(2, 4))`` at a third of
+        its cost.  ``mean`` reduces a multi-channel block in that order
+        onto a ``+0.0`` start, which turns a block of ``-0.0`` ReLU
+        outputs into ``+0.0``; the final ``+0.0`` does the same.  A
+        single-channel input makes the reduction's innermost axis a
+        block axis, where numpy picks a shape-dependent order, so that
+        case keeps ``mean``.
+        """
         p = self.pool_size
         b, h, w, c = x.shape
         ho, wo = h // p, w // p
         self._cache_input_shape = x.shape
         trimmed = x[:, : ho * p, : wo * p, :]
-        blocks = trimmed.reshape(b, ho, p, wo, p, c)
-        return blocks.mean(axis=(2, 4))
+        if c == 1 or p == 1:
+            return trimmed.reshape(b, ho, p, wo, p, c).mean(axis=(2, 4))
+        views = [
+            trimmed[:, di::p, dj::p] for di in range(p) for dj in range(p)
+        ]
+        out = views[0] + views[1]
+        for view in views[2:]:
+            out += view
+        out /= p * p
+        out += 0.0
+        return out
 
     def backward(self, grad):
+        """Spread ``grad / p**2`` evenly over each block."""
         p = self.pool_size
         b, h, w, c = self._cache_input_shape
         ho, wo = h // p, w // p
@@ -494,6 +547,7 @@ class MaxPooling2D(Layer):
         self._cache_input_shape: tuple[int, ...] | None = None
 
     def build(self, input_shape, rng, dtype=np.float32):
+        """The pooled shape ``(H // p, W // p, C)``."""
         h, w, c = input_shape
         p = self.pool_size
         if h < p or w < p:
@@ -505,6 +559,7 @@ class MaxPooling2D(Layer):
         return (h // p, w // p, c)
 
     def forward(self, x, training=False):
+        """Maximum of every ``p x p`` block; caches the argmax."""
         p = self.pool_size
         b, h, w, c = x.shape
         ho, wo = h // p, w // p
@@ -518,6 +573,7 @@ class MaxPooling2D(Layer):
         return blocks.max(axis=-1)
 
     def backward(self, grad):
+        """Route ``grad`` to each block's maximum."""
         p = self.pool_size
         b, h, w, c = self._cache_input_shape
         ho, wo = h // p, w // p
@@ -557,6 +613,7 @@ class BatchNorm2D(Layer):
         self._cache: tuple | None = None
 
     def build(self, input_shape, rng, dtype=np.float32):
+        """Per-channel scale/shift parameters and running statistics."""
         if len(input_shape) != 3:
             raise ShapeError(
                 f"BatchNorm2D expects (H, W, C) input, got {input_shape}"
@@ -571,9 +628,11 @@ class BatchNorm2D(Layer):
         return input_shape
 
     def parameters(self):
+        """The scale (gamma) and shift (beta) parameters."""
         return [self.gamma, self.beta]
 
     def forward(self, x, training=False):
+        """Normalize with batch statistics (training) or running ones."""
         self._require_built()
         if training:
             mean = x.mean(axis=(0, 1, 2))
@@ -593,6 +652,7 @@ class BatchNorm2D(Layer):
         return self.gamma.value * normalized + self.beta.value
 
     def backward(self, grad):
+        """Accumulate gamma/beta gradients; the input gradient."""
         normalized, std = self._cache
         self.gamma.grad += (grad * normalized).sum(axis=(0, 1, 2))
         self.beta.grad += grad.sum(axis=(0, 1, 2))

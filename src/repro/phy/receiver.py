@@ -8,22 +8,25 @@ the supplied estimate, ``decode_standard`` performs the plain IEEE
 802.15.4 decoding without equalization.
 
 Batched variants (``*_batch`` / ``decode_batch``) process a ``(P,
-samples)`` packet matrix at once: the preamble LS operator and the ZF
-equalizers are cached per receiver, and synchronization, equalization,
-demodulation and despreading run as matrix operations.
+samples)`` packet matrix at once: the preamble LS operator, the SHR
+delay matrix of the blind phase alignment and the ZF equalizers are
+cached per receiver, and synchronization, equalization, demodulation
+and despreading run as matrix operations.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..config import PhyConfig, ReceiverConfig
+from ..dsp.convolution import convolution_matrix
 from ..dsp.equalization import (
     equalize,
-    equalize_batch,
     equalizer_delay,
     zero_forcing_equalizer,
 )
@@ -31,7 +34,7 @@ from ..dsp.estimation import ls_channel_estimate, valid_ls_operator
 from ..dsp.phase import estimate_waveform_phase_shift
 from ..errors import ShapeError
 from .frame import FrameLayout, parse_psdu, psdu_from_symbols
-from .oqpsk import oqpsk_demodulate, oqpsk_demodulate_batch
+from .oqpsk import half_sine_pulse, oqpsk_demodulate, oqpsk_demodulate_batch
 from .spreading import despread_chips, despread_chips_batch
 from .synchronization import SyncResult, correlate_sync, correlate_sync_batch
 from .transmitter import Transmitter
@@ -72,6 +75,9 @@ class Receiver:
         #: Cached pseudo-inverse of the SHR window matrix per tap count —
         #: the matrix depends only on the constant preamble waveform.
         self._preamble_operators: dict[int, np.ndarray] = {}
+        #: Conjugated SHR delay (convolution) matrix per tap count, the
+        #: operator of :meth:`blind_phase_shift_batch`.
+        self._phase_operators: dict[int, np.ndarray] = {}
         #: LRU of ZF equalizers keyed by the exact estimate bytes.
         self._equalizer_cache: OrderedDict[
             tuple[bytes, int, int], np.ndarray
@@ -168,6 +174,43 @@ class Receiver:
             estimate,
         )
 
+    def blind_phase_shift_batch(
+        self, received: np.ndarray, estimates: np.ndarray
+    ) -> np.ndarray:
+        """Row-wise :meth:`blind_phase_shift`; the ``(P,)`` angles.
+
+        The SHR re-synthesized through estimate ``h`` is ``D @ h`` for
+        the SHR's delay matrix ``D``, so the correlation of received
+        row ``y`` with it is ``sum(conj(h) * (y @ conj(D)))``: one
+        matmul for the whole batch against the cached ``conj(D)``.
+        The angles match the scalar method within rounding.
+        """
+        received = np.asarray(received, dtype=np.complex128)
+        estimates = np.asarray(estimates, dtype=np.complex128)
+        if received.ndim != 2 or estimates.ndim != 2:
+            raise ShapeError(
+                "blind_phase_shift_batch expects 2-D received and "
+                "estimate batches"
+            )
+        if received.shape[0] != estimates.shape[0]:
+            raise ShapeError(
+                f"batch size mismatch: {received.shape[0]} received rows "
+                f"vs {estimates.shape[0]} estimates"
+            )
+        num_taps = estimates.shape[1]
+        operator = self._phase_operators.get(num_taps)
+        if operator is None:
+            operator = np.conj(
+                convolution_matrix(self._reference_shr, num_taps)
+            )
+            self._phase_operators[num_taps] = operator
+        length = min(operator.shape[0], received.shape[1])
+        correlation = received[:, :length] @ operator[:length]
+        inner = np.sum(correlation * np.conj(estimates), axis=1)
+        thetas = np.angle(inner)
+        thetas[inner == 0] = 0.0
+        return thetas
+
     # -- equalizer construction -------------------------------------------
     def _equalizer_for(
         self, estimate: np.ndarray, delay: int
@@ -227,9 +270,11 @@ class Receiver:
         return self._despread_and_parse(aligned)
 
     def decode_batch(
-        self, received: np.ndarray, estimates: np.ndarray
+        self,
+        received: np.ndarray,
+        estimates: "np.ndarray | Sequence[np.ndarray | None]",
     ) -> list[DecodeResult]:
-        """Row-wise :meth:`decode_with_estimate` over a packet batch.
+        """Row-wise decoding of a packet batch, equalized or standard.
 
         Parameters
         ----------
@@ -237,51 +282,63 @@ class Receiver:
             ``(P, samples)`` complex received matrix (one packet per
             row, equal lengths).
         estimates:
-            ``(P, taps)`` complex channel estimates; every row must
-            have the same tap count (it fixes the shared equalizer
-            delay).
+            ``(P, taps)`` complex channel estimates, or one entry per
+            row: a 1-D estimate, which the row is equalized with
+            (:meth:`decode_with_estimate`), or ``None``, which decodes
+            the row the standard way (:meth:`decode_standard`, framed
+            by one :meth:`synchronize_batch` call).  Rows with equal
+            tap counts share one equalizer delay and are demodulated
+            together.
 
         Returns
         -------
         list[DecodeResult]
-            One result per row.  Equalization, O-QPSK demodulation and
-            despreading run as whole-matrix operations; the decoded
-            chips, symbols and PSDUs match the scalar
-            :meth:`decode_with_estimate` per row (hard decisions are
-            bit-identical; soft values agree within ``1e-10``).  ZF
-            equalizers are LRU-cached per distinct estimate, so
-            repeated estimates (e.g. a technique tracking slowly) cost
-            one design each.
+            One result per row, matching the scalar method of the row
+            (hard decisions and PSDUs are identical; soft values agree
+            within ``1e-10``).  Equalization and chip projection run
+            as one matmul: the half-sine chip pulse is folded into
+            each row's ZF equalizer (:meth:`_equalized_soft`), so the
+            equalized waveform is never formed.  ZF equalizers are
+            LRU-cached per distinct estimate, so repeated estimates
+            (e.g. a technique tracking slowly) cost one design each.
         """
         received = np.asarray(received, dtype=np.complex128)
-        estimates = np.asarray(estimates, dtype=np.complex128)
-        if received.ndim != 2 or estimates.ndim != 2:
-            raise ShapeError(
-                "decode_batch expects 2-D received and estimate batches"
-            )
-        if received.shape[0] != estimates.shape[0]:
+        if received.ndim != 2:
+            raise ShapeError("decode_batch expects a 2-D received batch")
+        if isinstance(estimates, np.ndarray) and estimates.ndim != 2:
+            raise ShapeError("decode_batch expects a 2-D estimate batch")
+        if len(estimates) != received.shape[0]:
             raise ShapeError(
                 f"batch size mismatch: {received.shape[0]} received rows "
-                f"vs {estimates.shape[0]} estimates"
+                f"vs {len(estimates)} estimates"
             )
-        delay = equalizer_delay(
-            estimates.shape[1], self.config.equalizer_taps
-        )
-        equalizers = np.empty(
-            (received.shape[0], self.config.equalizer_taps),
-            dtype=np.complex128,
-        )
-        for row in range(received.shape[0]):
-            equalizers[row] = self._equalizer_for(estimates[row], delay)
-        aligned = equalize_batch(
-            received,
-            equalizers,
-            delay,
-            output_length=self.layout.waveform_samples,
-        )
-        soft, hard = oqpsk_demodulate_batch(
-            aligned, self.layout.total_chips, self.phy.samples_per_chip
-        )
+        standard: list[int] = []
+        by_taps: dict[int, list[int]] = {}
+        for row, estimate in enumerate(estimates):
+            if estimate is None:
+                standard.append(row)
+                continue
+            if np.ndim(estimate) != 1:
+                raise ShapeError("channel estimate must be 1-D")
+            by_taps.setdefault(len(estimate), []).append(row)
+        soft = np.empty((received.shape[0], self.layout.total_chips))
+        for num_taps, rows in by_taps.items():
+            delay = equalizer_delay(num_taps, self.config.equalizer_taps)
+            equalizers = np.stack(
+                [
+                    self._equalizer_for(
+                        np.asarray(estimates[row], dtype=np.complex128),
+                        delay,
+                    )
+                    for row in rows
+                ]
+            )
+            soft[rows] = self._equalized_soft(
+                received[rows], equalizers, delay
+            )
+        if standard:
+            soft[standard] = self._standard_soft(received[standard])
+        hard = (soft > 0).astype(np.int8)
         symbols = despread_chips_batch(hard)
         results = []
         for row in range(received.shape[0]):
@@ -299,10 +356,71 @@ class Receiver:
             )
         return results
 
-    def decode_standard(self, received: np.ndarray) -> DecodeResult:
-        """Plain 802.15.4 decoding: sync + scalar gain, no equalization."""
-        sync = self.synchronize(received)
-        aligned = received[sync.offset :]
+    def _equalized_soft(
+        self, received: np.ndarray, equalizers: np.ndarray, delay: int
+    ) -> np.ndarray:
+        """Soft chips of ZF-equalized rows without forming the waveform.
+
+        Chip ``j``'s projection ``sum_m pulse[m] * z[j*spc + m]`` of the
+        equalized ``z[n] = sum_l eq[l] * y[n + delay - l]`` is the inner
+        product of ``y``, from sample ``j*spc + delay - (L - 1)`` on,
+        with the kernel ``g = convolve(pulse, eq[::-1])`` (``L + 2*spc
+        - 1`` taps for an ``L``-tap equalizer).  An even chip keeps the
+        real part of that product and an odd chip the imaginary part,
+        so on the rows' interleaved real view one window per chip pair
+        and two real kernels (``Re g`` for the even chip, ``Im g``
+        shifted by ``spc`` for the odd one) give both: one matmul of
+        every row's windows against its kernels yields all chips.
+        """
+        spc = self.phy.samples_per_chip
+        num_chips = self.layout.total_chips
+        pulse = half_sine_pulse(spc)
+        num_rows, num_eq = equalizers.shape
+        width = num_eq + len(pulse) - 1
+        kernels = np.zeros((num_rows, width), dtype=np.complex128)
+        reversed_eq = equalizers[:, ::-1]
+        for m, weight in enumerate(pulse):
+            kernels[:, m : m + num_eq] += weight * reversed_eq
+        # Real coefficients over interleaved (re, im) samples of a pair
+        # window: Re(g . w) for the even chip, Im(g . w[spc:]) for the odd.
+        pair = np.zeros((num_rows, width + spc, 2, 2))
+        pair[:, :width, 0, 0] = kernels.real
+        pair[:, :width, 1, 0] = -kernels.imag
+        pair[:, spc:, 0, 1] = kernels.imag
+        pair[:, spc:, 1, 1] = kernels.real
+        # padded[:, k] = received[:, k - lead], zero outside the rows.
+        lead = num_eq - 1 - delay
+        padded = np.zeros(
+            (num_rows, (num_chips - 1) * spc + width), dtype=np.complex128
+        )
+        src = max(0, -lead)
+        dst = max(0, lead)
+        count = max(0, min(received.shape[1] - src, padded.shape[1] - dst))
+        padded[:, dst : dst + count] = received[:, src : src + count]
+        windows = sliding_window_view(
+            padded.view(np.float64), 2 * (width + spc), axis=1
+        )[:, :: 4 * spc]
+        soft = np.matmul(windows, pair.reshape(num_rows, -1, 2))
+        return soft.reshape(num_rows, num_chips)
+
+    def _standard_soft(self, received: np.ndarray) -> np.ndarray:
+        """Soft chips of rows decoded the standard way (sync + gain)."""
+        offsets, _ = self.synchronize_batch(received)
+        samples = self.layout.waveform_samples
+        corrected = np.zeros(
+            (received.shape[0], samples), dtype=np.complex128
+        )
+        for row, offset in enumerate(offsets):
+            aligned = received[row, offset:]
+            rescaled = aligned[:samples] / self._standard_gain(aligned)
+            corrected[row, : len(rescaled)] = rescaled
+        soft, _ = oqpsk_demodulate_batch(
+            corrected, self.layout.total_chips, self.phy.samples_per_chip
+        )
+        return soft
+
+    def _standard_gain(self, aligned: np.ndarray) -> complex:
+        """Scalar channel gain of a synchronized packet from its SHR."""
         region = min(len(aligned), self.layout.shr_samples)
         reference = self._reference_shr[:region]
         energy = float(np.sum(np.abs(reference) ** 2))
@@ -314,7 +432,13 @@ class Receiver:
         # numerical garbage; compare by magnitude, not complex equality.
         if abs(gain) < _GAIN_EPS:
             gain = 1.0
-        corrected = aligned / gain
+        return gain
+
+    def decode_standard(self, received: np.ndarray) -> DecodeResult:
+        """Plain 802.15.4 decoding: sync + scalar gain, no equalization."""
+        sync = self.synchronize(received)
+        aligned = received[sync.offset :]
+        corrected = aligned / self._standard_gain(aligned)
         if len(corrected) < self.layout.waveform_samples:
             corrected = np.concatenate(
                 [

@@ -7,10 +7,17 @@ passes — the serving-side analogue of the batched PHY engine.
 ``benchmarks/test_stream_throughput.py`` pins the throughput at 64
 concurrent links against the per-request serving layer one would write
 on the seed codebase (reference conv engine, one forward per frame).
-``max_batch`` defaults to the measured single-core sweet spot: the
-im2col conv already turns one 50x90 frame into a ~4.5k-row GEMM, so
-growing micro-batches past ~16 frames trades cache locality for no
-extra GEMM efficiency (batch 64 lands off a measured cliff).
+:meth:`~repro.nn.model.Sequential.predict` runs the convolution stages
+over cache-sized chunks of frames, so a frame costs no more in a batch
+of 64 than alone.
+
+The flush composition is part of the payload contract.  Links are
+served in sorted order, in chunks of ``max_batch`` (16), and neither
+may change without changing stream payloads: the convolution stages
+compute every frame on its own, bit-identically under any chunking,
+but the dense tail multiplies a chunk's rows in one GEMM whose bits
+depend on the row count.  The same 16 frames predicted 1 or 2 rows at
+a time, or 64 frames 4 to 8 rows at a time, differ in the last bits.
 
 Models resolve through the content-addressed
 :class:`~repro.campaign.models.ModelCheckpointRegistry`
@@ -179,9 +186,12 @@ class PredictionService:
     vectorized pass (:func:`~repro.vision.preprocessing.
     normalize_depth_batch`) and pushed through
     :meth:`~repro.core.training.TrainedVVD.predict_cir` in chunks of at
-    most ``max_batch``.  Predictions are deterministic pure functions of
-    the frames, so micro-batching never changes closed-loop metrics —
-    only wall time.
+    most ``max_batch``.  Predictions are deterministic functions of the
+    frames *and* of that composition: a chunk's dense layers run on its
+    rows together, and their bits depend on the row count.  Links are
+    always served in sorted order and ``max_batch`` is part of the
+    stream payload contract, so a replay reproduces every bit; other
+    compositions agree with these predictions to float32 rounding.
     """
 
     def __init__(
@@ -296,10 +306,11 @@ class PredictionService:
 
         Returns ``{link: Prediction}`` for each pending link.  Links are
         processed in sorted order and chunked by ``max_batch``; results
-        are identical to per-request inference (same frames, same
-        weights), just amortized over one GEMM-heavy forward per chunk.
-        When the service carries a blockage detector, its probabilities
-        come from the same normalized micro-batch.
+        agree with per-request inference to float32 rounding and repeat
+        bit for bit for the same pending links, because the chunk rows
+        the dense layers see are fixed by that order.  When the service
+        carries a blockage detector, its probabilities come from the
+        same normalized micro-batch.
         """
         if not self._pending:
             return {}

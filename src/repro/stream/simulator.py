@@ -5,8 +5,13 @@ concurrent links (:mod:`repro.stream.events`) and runs one policy
 through it end to end: frames update each link's camera state, packet
 slots trigger an arrival, a deadline sweep, a (micro-batched) prediction
 round, the policy decision, and — for transmitting links — waveform
-synthesis and decoding under exactly the offline receiver processing
-(:meth:`~repro.experiments.runner.EvaluationRunner.decode_packet`).
+synthesis and decoding under the offline receiver processing.  A slot's
+transmitting links are synthesized together and decoded together: one
+:meth:`~repro.experiments.runner.EvaluationRunner.decode_packets` call,
+hence one :meth:`~repro.phy.receiver.Receiver.decode_batch`, per slot
+round that transmits.  The batched receiver's hard decisions equal the
+scalar receiver's, so every outcome is the one per-packet decoding
+would give; ``tests/stream/test_slot_work.py`` pins the call counts.
 
 Per slot and link the simulator runs plain ARQ with a deadline: a new
 packet joins the link's queue every 100 ms, the head-of-line packet is
@@ -119,7 +124,15 @@ class _LinkState:
 
 
 class StreamSimulator:
-    """Runs link-adaptation policies through one merged event stream."""
+    """Runs link-adaptation policies through one merged event stream.
+
+    Every slot round does its work in batches across links: one
+    prediction flush for the links pending at the slot time, one
+    waveform synthesis for the links that transmit, and one batched
+    decode of them (:meth:`~repro.experiments.runner.EvaluationRunner.
+    decode_packets`).  Policies observe the outcomes afterwards, link
+    by link in link order, as they decided.
+    """
 
     def __init__(
         self,
@@ -366,13 +379,19 @@ class StreamSimulator:
             for link in sorted(decisions)
             if decisions[link].transmit
         ]
-        received_rows = None
+        outcomes = {}
         if transmitting:
-            received_rows = synthesize_received_batch(
-                self.components,
-                [contexts[link].record for link in transmitting],
+            records = [contexts[link].record for link in transmitting]
+            outcomes = dict(
+                zip(
+                    transmitting,
+                    self.runner.decode_packets(
+                        [decisions[link].estimate for link in transmitting],
+                        synthesize_received_batch(self.components, records),
+                        records,
+                    ),
+                )
             )
-        row_of = {link: row for row, link in enumerate(transmitting)}
 
         for link in sorted(contexts):
             ctx = contexts[link]
@@ -389,13 +408,7 @@ class StreamSimulator:
                 if fallback is not None:
                     fallback.observe(ctx, None)
                 continue
-            packet = self.components.transmitter.transmit(
-                ctx.record.sequence_number
-            )
-            received = received_rows[row_of[link]]
-            outcome = self.runner.decode_packet(
-                decision.estimate, packet, received, ctx.record
-            )
+            outcome = outcomes[link]
             state.metrics.attempts += 1
             state.outcomes.append(outcome)
             if outcome.packet_error:

@@ -5,7 +5,8 @@ These pins cover what the executor promises beyond payload identity:
 a fault-free ``jobs=1`` run keeps the topological order and forks
 nothing, the scheduler waits on its workers without sleep-polling and
 notices a dead worker even while a process it forked lives on (and
-kills that process with it), a
+kills that process with it), workers die with a scheduler killed by a
+signal to its process group, a
 retry backoff holds up no independent step, and the run keeps no
 reference cycle that would pin ``context.shared`` memos in memory.
 """
@@ -15,6 +16,8 @@ from __future__ import annotations
 import gc
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import weakref
@@ -206,6 +209,73 @@ def test_worker_death_is_noticed_while_its_child_lives(
     assert result.executed == ["orphaning"]
     assert context.read_output("orphaning") == "healed"
     assert elapsed < 5.0
+
+
+#: A ``jobs=2`` campaign of two workers that publish their pid and sleep.
+_SLEEPERS = """
+import os, sys, threading
+from pathlib import Path
+from repro.campaign import (
+    Campaign, CampaignContext, CampaignStep, DatasetCache,
+)
+from repro.config import SimulationConfig
+
+def _sleep(pid_file):
+    tmp = pid_file + ".tmp"
+    Path(tmp).write_text(str(os.getpid()))
+    os.replace(tmp, pid_file)
+    threading.Event().wait(60.0)
+    return "woke"
+
+root = Path(sys.argv[1])
+steps = [
+    CampaignStep(
+        f"sleep@{i}", "sleeping worker", lambda ctx: "inline",
+        worker=lambda ctx, i=i: (_sleep, {"pid_file": str(root / f"{i}.pid")}),
+    )
+    for i in range(2)
+]
+context = CampaignContext(
+    SimulationConfig.tiny(), DatasetCache(root / "cache"), root / "campaign"
+)
+Campaign("sleepers", steps, root / "campaign").run(context, jobs=2)
+"""
+
+
+def test_workers_die_with_their_schedulers_group(tmp_path):
+    # Workers lead their own process groups; a SIGKILL to the
+    # scheduler's group must still take them down (death signal).
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    scheduler = subprocess.Popen(
+        [sys.executable, "-c", _SLEEPERS, str(tmp_path)],
+        env=env,
+        start_new_session=True,
+    )
+    pid_files = [tmp_path / f"{i}.pid" for i in range(2)]
+    try:
+        deadline = time.monotonic() + 60.0
+        while not all(path.exists() for path in pid_files):
+            assert scheduler.poll() is None, "the campaign exited early"
+            assert time.monotonic() < deadline, "workers never started"
+            time.sleep(0.05)
+        workers = [int(path.read_text()) for path in pid_files]
+        assert all(os.getpgid(pid) == pid for pid in workers)
+        os.killpg(scheduler.pid, signal.SIGKILL)
+        scheduler.wait(timeout=10.0)
+        survivors = [pid for pid in workers if not _dead_within(pid, 2.0)]
+        assert survivors == [], f"workers {survivors} outlived the scheduler"
+    finally:
+        if scheduler.poll() is None:
+            os.killpg(scheduler.pid, signal.SIGKILL)
+            scheduler.wait()
+        for path in pid_files:  # published by a worker: reap survivors
+            if path.exists():
+                try:
+                    os.kill(int(path.read_text()), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 def test_retry_backoff_holds_up_no_independent_step(tmp_path):

@@ -20,7 +20,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, ClassVar
 
 from .. import faults
 from ..campaign.cache import DATASET_CACHE_SALT, DatasetCache
@@ -109,6 +109,8 @@ class RunOptions:
     CLI to offer it.
     """
 
+    #: Numbers and numeric strings convert; the first bad field raises.
+    coerce_fields: ClassVar[bool] = True
     fresh: bool = param(
         False, "ignore the campaign manifest and re-run every step"
     )
@@ -172,6 +174,8 @@ class HostOptions:
     ``POST /v1/jobs`` submission may carry only the ``service`` ones.
     """
 
+    #: Numbers and numeric strings convert; the first bad field raises.
+    coerce_fields: ClassVar[bool] = True
     model_dir: str | None = param(
         None,
         "model checkpoint registry root (default: $REPRO_MODEL_DIR or "

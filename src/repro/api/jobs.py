@@ -8,11 +8,14 @@ namespace, a notebook or a ``POST /v1/jobs`` body; the facade
 
 Each field is declared once, on its dataclass: the annotation gives
 its type (element types included, e.g. ``tuple[float, ...] | None``),
-the default its default, and ``field(metadata=...)`` its help text
-and allowed values.  ``build_parser`` renders the ``repro`` campaign
-subcommands from these declarations, and :func:`check_fields`
-validates every spec on construction, so the CLI, :mod:`repro.api`
-and ``POST /v1/jobs`` accept exactly the same values.  The run and
+the default its default, and its :func:`~repro.campaign.params.param`
+declaration its help text and allowed values.  ``build_parser``
+renders the ``repro`` campaign subcommands from these declarations,
+and the field walker of :mod:`repro.campaign.params`, which also checks
+scenarios and rooms, validates every spec on construction, so the CLI,
+:mod:`repro.api` and ``POST /v1/jobs`` accept exactly the same values.
+Job specs set ``coerce_fields``: numbers and numeric strings convert to
+the declared number type, and the first bad field raises.  The run and
 host options of :mod:`repro.api.facade` are declared and checked the
 same way.
 
@@ -22,15 +25,11 @@ Every spec round-trips through JSON (:meth:`to_dict` /
 
 from __future__ import annotations
 
-import functools
 import json
-import os
-import types
-import typing
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
-from ..campaign.params import _type_ok
+from ..campaign.params import check_fields, param
 from ..errors import ConfigurationError, NotFoundError
 
 #: kind name -> spec class; populated by :func:`_register`.
@@ -48,127 +47,6 @@ def _canonical(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def param(default, help: str, **meta):
-    """A dataclass field that carries its own CLI declaration.
-
-    ``help`` is the flag's help text.  Optional ``meta`` keys:
-
-    ``choices``
-        Allowed values (of each element, for tuple fields): a
-        sequence, or a zero-arg callable for registries.
-    ``unknown``
-        Error class a value outside ``choices`` raises (default
-        :class:`~repro.errors.ConfigurationError`).
-    ``positional``
-        Rendered as a positional argument instead of a ``--flag``.
-    ``gate``
-        Rendered only for kinds whose :attr:`JobSpec.takes` names it.
-    ``service``
-        A host option a ``POST /v1/jobs`` submission may carry.
-    ``cli_default``
-        Zero-arg callable giving the CLI default when the parser is
-        built (the dataclass default holds everywhere else).
-    """
-    return field(default=default, metadata={"help": help, **meta})
-
-
-@functools.cache
-def field_shapes(cls) -> tuple[tuple, ...]:
-    """``(field, type, element type, optional)`` for each field of ``cls``.
-
-    ``tuple[int, ...]`` has type ``tuple`` and element type ``int``;
-    ``X | None`` is optional.  Resolving annotations costs ~0.1 ms a
-    class, so each class resolves them once.
-    """
-    hints = typing.get_type_hints(cls)
-    shapes = []
-    for spec_field in fields(cls):
-        hint = hints[spec_field.name]
-        members = (
-            typing.get_args(hint)
-            if typing.get_origin(hint) in (typing.Union, types.UnionType)
-            else (hint,)
-        )
-        (kind,) = [m for m in members if m is not type(None)]
-        element = None
-        if typing.get_origin(kind) is tuple:
-            element, kind = typing.get_args(kind)[0], tuple
-        shapes.append((spec_field, kind, element, type(None) in members))
-    return tuple(shapes)
-
-
-class _Mismatch(Exception):
-    """A value that does not convert to its declared type."""
-
-
-def _coerce(value, kind: type):
-    """``value`` as ``kind``: numbers and numeric strings convert."""
-    if type(value) is kind:
-        return value
-    if kind in (int, float) and not isinstance(value, bool):
-        if isinstance(value, str):
-            try:
-                return kind(value)
-            except ValueError:
-                raise _Mismatch from None
-        if isinstance(value, float) and kind is int and value.is_integer():
-            return int(value)
-    elif kind is str and isinstance(value, os.PathLike):
-        return os.fspath(value)
-    if not _type_ok(value, kind):
-        raise _Mismatch
-    return kind(value) if kind is float else value
-
-
-#: How a validation message names each scalar type.
-_EXPECTS = {bool: "a boolean", str: "a string"}
-
-
-def check_fields(obj, noun: str) -> None:
-    """Validate and normalize the fields of a frozen dataclass in place.
-
-    The one validator of job specs and run/host options: lists become
-    tuples, numbers and numeric strings become the declared number
-    type (a bool is not a number), and any other type, or a value
-    outside the declared ``choices``, raises
-    :class:`~repro.errors.ConfigurationError` naming ``noun``.
-    """
-    for spec_field, kind, element, optional in field_shapes(type(obj)):
-        name = spec_field.name
-        value = getattr(obj, name)
-        if value is None and optional:
-            continue
-        try:
-            if kind is not tuple:
-                new = _coerce(value, kind)
-            elif isinstance(value, (list, tuple)):
-                new = tuple([_coerce(item, element) for item in value])
-            else:
-                raise _Mismatch
-        except _Mismatch:
-            if kind is not tuple:
-                expected = _EXPECTS.get(kind, kind.__name__)
-            elif isinstance(value, (list, tuple)):
-                expected = f"a list of {element.__name__}"
-            else:
-                expected = "a list"
-            raise ConfigurationError(
-                f"{noun} {name!r} expects {expected}, got {value!r}"
-            ) from None
-        choices = spec_field.metadata.get("choices")
-        if choices is not None:
-            allowed = choices() if callable(choices) else choices
-            error = spec_field.metadata.get("unknown", ConfigurationError)
-            for item in new if kind is tuple else (new,):
-                if item not in allowed:
-                    raise error(
-                        f"{noun} {name!r}: unknown value {item!r}; "
-                        f"accepted: {', '.join(map(str, allowed))}"
-                    )
-        if new is not value:
-            object.__setattr__(obj, name, new)
-
-
 @dataclass(frozen=True)
 class JobSpec:
     """Base class of all job specs: validation and JSON round-trip.
@@ -177,6 +55,8 @@ class JobSpec:
     """
 
     kind: ClassVar[str] = ""
+    #: Numbers and numeric strings convert; the first bad field raises.
+    coerce_fields: ClassVar[bool] = True
     #: Option groups the kind takes besides its own fields, ``--fresh``
     #: and ``--trace``: ``jobs`` (DAG-level worker processes),
     #: ``robustness`` (``--retries``/``--step-timeout``/

@@ -7,11 +7,11 @@ restartable system (see docs/ARCHITECTURE.md):
   dataclasses and a registry of named presets (the paper's
   configurations plus multi-human crossings, varied walking speeds,
   dense-office and corridor geometries, grouped walkers).
-- :mod:`repro.campaign.params` — the validated scenario language:
-  declared :class:`Parameter`/:class:`Condition` schemas, aggregated
-  :class:`ValidationReport` errors, delta-copy :class:`ScenarioSpec`
-  variants, TOML/JSON scenario files and seeded sampling of the
-  scenario space.
+- :mod:`repro.campaign.params` — the one field walker that checks
+  scenarios, rooms, job specs and run options against their dataclass
+  declarations (aggregated :class:`ValidationReport` errors for
+  scenarios and rooms), TOML/JSON scenario files and seeded sampling
+  of the scenario space.
 - :mod:`repro.campaign.cache` — a content-addressed on-disk cache of
   generated measurement sets, keyed by a stable hash of the resolved
   configuration plus a code-version salt.
@@ -53,16 +53,11 @@ from .grid import (
 )
 from .locking import FileLock, sweep_stale_tmp
 from .params import (
-    Condition,
-    Parameter,
-    ScenarioSpec,
     ValidationReport,
+    check_values,
     describe_parameters,
     load_scenario_file,
-    sample_scenario_specs,
     sample_scenarios,
-    spec_from_scenario,
-    validate_scenario_values,
 )
 from .manifest import STATUS_QUARANTINED, CampaignManifest
 from .results import ResultsStore, coords_key
@@ -135,14 +130,9 @@ __all__ = [
     "get_scenario",
     "list_scenarios",
     "register_scenario",
-    "Condition",
-    "Parameter",
-    "ScenarioSpec",
     "ValidationReport",
+    "check_values",
     "describe_parameters",
     "load_scenario_file",
-    "sample_scenario_specs",
     "sample_scenarios",
-    "spec_from_scenario",
-    "validate_scenario_values",
 ]

@@ -42,10 +42,10 @@ Installed as the ``repro`` console script (``setup.py``) and runnable as
 ``scenarios``
     The scenario language: ``load`` validates and registers scenarios
     (and custom rooms) from a TOML/JSON file, ``sample`` draws seeded
-    uniformly-valid specs from the declared parameter ranges (one
-    canonical JSON line per spec — diffable, so two runs with the same
-    seed must print byte-identical output), and ``describe`` prints the
-    declared parameter/condition catalog.
+    uniformly-valid scenarios from the declared field ranges (one
+    canonical JSON line per scenario — diffable, so two runs with the
+    same seed must print byte-identical output), and ``describe`` prints
+    the declared field/condition catalog.
 ``cache``
     Inspect (``stats``/``list``) or invalidate (``clear``) the cache.
 
@@ -84,11 +84,12 @@ from pathlib import Path
 
 from ..api import errors as api_errors
 from ..api.facade import HostOptions, RunOptions, prepare
-from ..api.jobs import JOB_KINDS, field_shapes
+from ..api.jobs import JOB_KINDS
 from ..errors import ReproError
 from ..obs import analysis as obs_analysis, log
 from .cache import DatasetCache
 from .grid import list_grids
+from .params import SAMPLE_SCALES, field_shapes
 from .scenario import get_scenario, list_scenarios
 
 
@@ -100,10 +101,11 @@ def _add_fields(
     """Render the declared fields of a dataclass as ``parser`` arguments.
 
     Flag, type, ``nargs``, default, choices and help all come from the
-    field's declaration (:func:`repro.api.jobs.param`); a field with a
-    ``gate`` is rendered only when ``takes`` names the gate.
+    field's declaration (:func:`repro.campaign.params.param`); a field
+    with a ``gate`` is rendered only when ``takes`` names the gate.
     """
-    for spec_field, kind, element, _ in field_shapes(cls):
+    for spec_field, shape in field_shapes(cls):
+        kind = shape.kind
         meta = spec_field.metadata
         gate = meta.get("gate")
         if gate is not None and gate not in takes:
@@ -116,7 +118,7 @@ def _add_fields(
             kwargs["action"] = "store_true"
         if kind is tuple:
             kwargs["nargs"] = "+"
-            kind = element
+            kind = shape.element.kind
         if kind in (int, float):
             kwargs["type"] = kind
         if meta.get("positional"):
@@ -235,15 +237,14 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     from .params import (
         describe_parameters,
         load_scenario_file,
-        sample_scenario_specs,
-        spec_from_scenario,
+        sample_scenarios,
     )
 
     if args.action == "describe":
         if args.scenario is not None:
             scenario = get_scenario(args.scenario)
-            report = spec_from_scenario(scenario).validate()
-            log.info(spec_from_scenario(scenario).canonical_json())
+            report = scenario.validate()
+            log.info(scenario.canonical_json())
             log.info(report.summary())
             for line in report.warnings:
                 log.warning(f"warning: {line}")
@@ -264,17 +265,17 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         log.info(f"{len(loaded)} scenario(s) loaded from {args.file}")
         return 0
     if args.action == "sample":
-        specs = sample_scenario_specs(
+        scenarios = sample_scenarios(
             args.seed, args.count, scale=args.scale
         )
-        for spec in specs:
-            log.info(spec.canonical_json())
+        for scenario in scenarios:
+            log.info(scenario.canonical_json())
         if args.register:
             from .scenario import register_scenario
 
-            for spec in specs:
-                register_scenario(spec.to_scenario(), replace=True)
-            log.info(f"{len(specs)} sampled scenario(s) registered")
+            for scenario in scenarios:
+                register_scenario(scenario, replace=True)
+            log.info(f"{len(scenarios)} sampled scenario(s) registered")
         return 0
     raise ReproError(f"unknown scenarios action {args.action!r}")
 
@@ -442,13 +443,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_scenarios = sub.add_parser(
         "scenarios",
         help="scenario language: load TOML/JSON files, sample seeded "
-        "specs, describe the declared schema",
+        "scenarios, describe the declared fields",
     )
     p_scenarios.add_argument(
         "action",
         choices=("load", "sample", "describe"),
         help="load = validate+register a scenario file, sample = draw "
-        "seeded valid specs, describe = print the parameter catalog",
+        "seeded valid scenarios, describe = print the field catalog",
     )
     p_scenarios.add_argument(
         "file",
@@ -465,21 +466,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=7,
-        help="with 'sample': the draw seed (same seed, same specs — "
-        "across processes and machines)",
+        help="with 'sample': the draw seed (same seed, same scenarios "
+        "— across processes and machines)",
     )
     p_scenarios.add_argument(
         "--count",
         type=int,
         default=10,
-        help="with 'sample': number of valid specs to draw",
+        help="with 'sample': number of valid scenarios to draw",
     )
     p_scenarios.add_argument(
         "--scale",
-        choices=("full", "tiny"),
+        choices=SAMPLE_SCALES,
         default="full",
         help="with 'sample': 'tiny' clamps dimensions to seconds-scale "
-        "specs (used by the fuzz round-trip tests)",
+        "scenarios (used by the fuzz round-trip tests)",
     )
     p_scenarios.add_argument(
         "--register",
@@ -490,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario",
         default=None,
         help="with 'describe': print one registered scenario's "
-        "effective spec + validation summary instead of the catalog",
+        "fields + validation summary instead of the catalog",
     )
     p_scenarios.set_defaults(func=_cmd_scenarios)
 

@@ -36,7 +36,7 @@ from typing import Sequence
 
 from ..config import SimulationConfig
 from ..errors import ConfigurationError, NotFoundError
-from .params import get_parameter
+from .params import field_problems
 from .results import ResultsStore, coords_key
 from .scenario import Scenario, get_scenario, register_scenario
 
@@ -69,9 +69,9 @@ EVAL_AXES = ("horizon",)
 def _axis_violations(axis: str, value: object) -> list[str]:
     """Schema violations of one axis value (empty when valid).
 
-    Scenario-field axes validate through the declared
-    :class:`~repro.campaign.params.Parameter`; the ``horizon`` eval
-    axis expects a non-negative int.  Runs at :class:`GridSpec`
+    Scenario-field axes validate against the declared
+    :class:`~repro.campaign.scenario.Scenario` field; the ``horizon``
+    eval axis expects a non-negative int.  Runs at :class:`GridSpec`
     construction so an inconsistent grid fails before any expansion,
     registration or campaign start.
     """
@@ -84,10 +84,7 @@ def _axis_violations(axis: str, value: object) -> list[str]:
         if value < 0:
             return [f"{axis}: must be >= 0, got {value}"]
         return []
-    parameter = get_parameter(AXIS_FIELDS[axis])
-    if isinstance(value, list):
-        value = tuple(value)
-    return parameter.violations(value)
+    return field_problems(Scenario, AXIS_FIELDS[axis], value)
 
 
 def format_axis_value(value: object) -> str:

@@ -1,42 +1,46 @@
-"""Validated scenario language: parameters, conditions, specs, sampling.
+"""The field walker, scenario files and seeded sampling of scenarios.
 
-The scenario registry used to be plain dataclasses whose invalid
-combinations (a speed range outside the mobility model's bounds, an SNR
-grid outside the trained range, grouped walkers without a group) failed
-first-error-only, sometimes only deep inside the dataset generator.
-This module adopts the cinnamon ``Parameter``/``Configuration`` idiom
-(see SNIPPETS.md): every scenario hyper-parameter is wrapped in a
-:class:`Parameter` carrying its type hint, allowed range/choices,
-description and tags; a :class:`ScenarioSpec` bundles the parameters
-with declared cross-parameter :class:`Condition` objects and validates
-at construction with a *full* :class:`ValidationReport` — every
-violation listed, not just the first.
+Every field of a :class:`~repro.campaign.scenario.Scenario`, a
+:class:`~repro.config.RoomConfig`, a job spec and the run and host
+options is declared once, on its dataclass: the annotation gives its
+type (element types, optionality and fixed tuple lengths included, read
+by :func:`field_shapes`), the default its default, and
+``field(metadata=...)`` its help text and limits (see :func:`param`).
+A class's ``conditions`` attribute lists its cross-field
+:class:`~repro.config.Condition` rules.
 
-On top of the declarative schema the module provides:
+:func:`check_values` is the one validator of all of them.  How it
+treats a value belongs to the declaring class: one that sets
+``coerce_fields = True`` (job specs, run and host options) converts
+numbers and numeric strings to the declared number type and raises at
+its first bad field; any other class (scenarios, rooms) converts
+nothing and gets a :class:`ValidationReport` of *every* violation.
 
-- :func:`spec_from_scenario` / :meth:`ScenarioSpec.to_scenario` — the
-  bridge to the registry's :class:`~repro.campaign.scenario.Scenario`
-  dataclass (which delegates its ``__post_init__`` validation here).
-- delta-copy variants (:meth:`ScenarioSpec.delta`), replacing the
-  ad-hoc ``dataclasses.replace`` chains grid expansion used to build.
-- TOML/JSON scenario loading (:func:`load_scenario_file`,
-  ``repro scenarios load file.toml``), including custom room-geometry
-  tables validated through :data:`ROOM_PARAMETERS`.
-- seeded scenario sampling (:func:`sample_scenario_specs`,
-  ``repro scenarios sample --seed N --count K``): uniformly valid specs
-  drawn from the declared ranges — the generator behind the
-  property-based fuzz suite and future capacity grids.  Sampling uses
-  :class:`random.Random` so the draw sequence is process- and
-  platform-stable for a given seed.
+On top of the walker the module provides:
+
+- :func:`describe_parameters` — the scenario catalog ``repro scenarios
+  describe`` prints;
+- TOML/JSON scenario files (:func:`load_scenario_file`, ``repro
+  scenarios load file.toml``), including custom ``[rooms.<name>]``
+  tables;
+- seeded scenario sampling (:func:`sample_scenarios`, ``repro
+  scenarios sample --seed N --count K``): valid scenarios drawn from
+  the declared ranges — the generator behind the property-based fuzz
+  suite.  Sampling uses :class:`random.Random` so the draw sequence is
+  process- and platform-stable for a given seed.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import random
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping, NamedTuple
 
 from ..config import SPEED_PROFILES, TRAJECTORY_PRESETS
 from ..errors import ConfigurationError
@@ -66,178 +70,242 @@ SEED_BOUNDS = (0, 2**32 - 1)
 #: grids sweep into the thousands.
 STREAM_LINKS_BOUNDS = (1, 10_000)
 
-_MISSING = object()
 
+def param(default, help: str, **meta):
+    """A dataclass field that carries its own declaration.
 
-def _type_name(type_hint: type | tuple[type, ...]) -> str:
-    """Readable name of a parameter's type hint."""
-    if isinstance(type_hint, tuple):
-        return "/".join(t.__name__ for t in type_hint)
-    return type_hint.__name__
+    ``help`` is the field's help text (a CLI flag's help, a line of
+    ``repro scenarios describe``).  Optional ``meta`` keys:
 
-
-def _type_ok(value: object, type_hint: type | tuple[type, ...]) -> bool:
-    """isinstance with the int/bool pitfall closed (bool is not an int)."""
-    hints = type_hint if isinstance(type_hint, tuple) else (type_hint,)
-    if isinstance(value, bool):
-        return bool in hints
-    if isinstance(value, int) and (int in hints or float in hints):
-        return True
-    return isinstance(value, hints)
-
-
-@dataclass(frozen=True)
-class Parameter:
-    """One declared scenario hyper-parameter (cinnamon idiom).
-
-    Wraps the value schema — type hint, allowed numeric ``bounds``
-    (inclusive, applied elementwise to tuple values), discrete
-    ``choices`` (a tuple or a zero-arg callable for registries that
-    grow at runtime, like room presets), tuple ``length`` limits and an
-    optional free-form ``allowed`` predicate — plus the description and
-    tags the catalog renders.  :meth:`violations` returns *every*
-    problem with a candidate value, never just the first.
+    ``choices``
+        Allowed values (of each element, for tuple fields): a
+        collection, or a zero-arg callable for registries.
+    ``bounds``
+        Inclusive ``(low, high)`` range of each number.
+    ``length``
+        Inclusive ``(low, high)`` entry count of a ``tuple[X, ...]``.
+    ``label``
+        Noun naming the value in messages (default ``value``).
+    ``allowed``
+        Predicate returning a violation string or ``None``.
+    ``required``
+        A mapping must give the field although the class has a default.
+    ``unknown``
+        Error class a value outside ``choices`` raises (default
+        :class:`~repro.errors.ConfigurationError`).
+    ``positional``
+        Rendered as a positional argument instead of a ``--flag``.
+    ``gate``
+        Rendered only for kinds whose ``JobSpec.takes`` names it.
+    ``service``
+        A host option a ``POST /v1/jobs`` submission may carry.
+    ``cli_default``
+        Zero-arg callable giving the CLI default when the parser is
+        built (the dataclass default holds everywhere else).
     """
+    return field(default=default, metadata={"help": help, **meta})
 
-    #: Unique identifier; matches the ``Scenario`` field it feeds.
-    name: str
-    #: Python type(s) a value must have.
-    type_hint: type | tuple[type, ...]
-    #: One-line human description (rendered by ``scenarios describe``).
-    description: str
-    #: Default used when a spec omits the parameter.
-    default: object = _MISSING
-    #: Discrete allowed values, or a callable returning them.
-    choices: tuple | Callable[[], tuple] | None = None
-    #: Inclusive numeric range; elementwise for tuple values.
-    bounds: tuple[float, float] | None = None
-    #: ``(min, max)`` entry-count limits for tuple values.
-    length: tuple[int, int] | None = None
-    #: Required type of each tuple entry.
-    element_type: type | tuple[type, ...] | None = None
-    #: ``True`` if ``None`` is an allowed value.
+
+class Shape(NamedTuple):
+    """The type of a declared field, read from its annotation."""
+
+    #: ``int``, ``float``, ``str``, ``bool`` or ``tuple``.
+    kind: type
+    #: Shape of each entry of a ``tuple`` kind (``None``: unchecked).
+    element: Shape | None = None
+    #: Entry count of a fixed-length ``tuple[X, X]`` kind.
+    length: int | None = None
+    #: ``True`` if the annotation allows ``None`` (``X | None``).
     optional: bool = False
-    #: Noun used in messages (defaults to the parameter name).
-    label: str | None = None
-    #: Extra predicate: returns a violation string or ``None``.
-    allowed: Callable[[object], str | None] | None = None
-    #: Free-form labels for catalog search/grouping.
-    tags: tuple[str, ...] = ()
-
-    @property
-    def required(self) -> bool:
-        """Whether a spec must provide this parameter explicitly."""
-        return self.default is _MISSING
-
-    def resolved_choices(self) -> tuple | None:
-        """The discrete allowed values, resolving callable registries."""
-        if callable(self.choices):
-            return tuple(self.choices())
-        return self.choices
-
-    def violations(self, value: object) -> list[str]:
-        """Every problem with ``value``, as ``name: ...`` report lines."""
-        noun = self.label or self.name
-        if value is None:
-            if self.optional:
-                return []
-            return [f"{self.name}: value is required, got None"]
-        if not _type_ok(value, self.type_hint):
-            return [
-                f"{self.name}: expected {_type_name(self.type_hint)}, "
-                f"got {type(value).__name__} ({value!r})"
-            ]
-        problems: list[str] = []
-        choices = self.resolved_choices()
-        if choices is not None and value not in choices:
-            problems.append(
-                f"{self.name}: unknown {noun} {value!r}; expected one "
-                f"of {sorted(choices)}"
-            )
-        elements = (
-            list(value) if isinstance(value, tuple) else [value]
-        )
-        if isinstance(value, tuple):
-            if self.length is not None:
-                lo, hi = self.length
-                if not lo <= len(value) <= hi:
-                    problems.append(
-                        f"{self.name}: needs between {lo} and {hi} "
-                        f"entries, got {len(value)}"
-                    )
-            if self.element_type is not None:
-                for k, item in enumerate(elements):
-                    if not _type_ok(item, self.element_type):
-                        problems.append(
-                            f"{self.name}[{k}]: expected "
-                            f"{_type_name(self.element_type)}, got "
-                            f"{type(item).__name__} ({item!r})"
-                        )
-                elements = [
-                    item
-                    for item in elements
-                    if _type_ok(item, self.element_type)
-                ]
-        if self.bounds is not None:
-            lo, hi = self.bounds
-            for item in elements:
-                if isinstance(item, (int, float)) and not (
-                    lo <= item <= hi
-                ):
-                    problems.append(
-                        f"{self.name}: {item!r} outside the allowed "
-                        f"{noun} range [{lo}, {hi}]"
-                    )
-        if self.allowed is not None and not problems:
-            extra = self.allowed(value)
-            if extra is not None:
-                problems.append(f"{self.name}: {extra}")
-        return problems
 
 
-@dataclass(frozen=True)
-class Condition:
-    """One declared cross-parameter consistency rule.
+def _shape(hint) -> Shape:
+    """The :class:`Shape` of one resolved annotation."""
+    members = (
+        typing.get_args(hint)
+        if typing.get_origin(hint) in (typing.Union, types.UnionType)
+        else (hint,)
+    )
+    (kind,) = [m for m in members if m is not type(None)]
+    optional = type(None) in members
+    if typing.get_origin(kind) is not tuple:
+        return Shape(kind, optional=optional)
+    args = typing.get_args(kind)
+    length = None if args[-1] is Ellipsis else len(args)
+    return Shape(tuple, _shape(args[0]), length, optional)
 
-    Conditions are evaluated in declared order, and only once every
-    parameter in ``requires`` has passed its own checks — a type-broken
-    parameter never also produces a cascade of spurious condition
-    violations.  ``severity="warning"`` conditions are reported but do
-    not fail validation (used for legal-but-unusual combinations).
+
+@functools.cache
+def field_shapes(cls) -> tuple[tuple[Field, Shape], ...]:
+    """``(field, shape)`` for each field of dataclass ``cls``, in order.
+
+    ``tuple[int, ...]`` has kind ``tuple`` and element kind ``int``;
+    ``tuple[float, float]`` also has length 2; ``X | None`` is
+    optional.  Resolving annotations costs ~0.1 ms a class, so each
+    class resolves them once.
     """
+    hints = typing.get_type_hints(cls)
+    return tuple((f, _shape(hints[f.name])) for f in fields(cls))
 
-    #: Stable kebab-case identifier of the rule.
-    name: str
-    #: Human sentence describing the requirement.
-    description: str
-    #: Parameters the predicate reads.
-    requires: tuple[str, ...]
-    #: Returns ``True`` when the combination is consistent.
-    check: Callable[[Mapping[str, object]], bool]
-    #: ``"error"`` fails validation; ``"warning"`` is advisory.
-    severity: str = "error"
 
-    def message(self, values: Mapping[str, object]) -> str:
-        """The report line emitted when the condition is violated."""
-        context = ", ".join(
-            f"{name}={values.get(name)!r}" for name in self.requires
+def _type_ok(value: object, kind: type) -> bool:
+    """isinstance with the int/bool pitfall closed (bool is not an int)."""
+    if isinstance(value, bool):
+        return kind is bool
+    if isinstance(value, int) and kind in (int, float):
+        return True
+    return isinstance(value, kind)
+
+
+def _choices(meta: Mapping) -> object:
+    """A field's allowed values, resolving callable registries."""
+    choices = meta.get("choices")
+    return choices() if callable(choices) else choices
+
+
+class _Mismatch(Exception):
+    """A value that is not of its declared type."""
+
+
+def _convert(value, kind: type, coerce: bool):
+    """``value`` as a ``kind``, or raise :class:`_Mismatch`.
+
+    Only a coercing class converts: a numeric string or a number
+    becomes the declared number type (an integral float an int; a bool
+    is not a number) and a path a string.  Otherwise an int stays an
+    int where a float is declared.
+    """
+    if coerce and type(value) is not kind:
+        if kind in (int, float) and isinstance(value, str):
+            try:
+                return kind(value)
+            except ValueError:
+                raise _Mismatch from None
+        if kind is int and isinstance(value, float) and value.is_integer():
+            return int(value)
+        if kind is str and isinstance(value, os.PathLike):
+            return os.fspath(value)
+    if not _type_ok(value, kind):
+        raise _Mismatch
+    return float(value) if coerce and kind is float else value
+
+
+def _flag(problems: list, coerce: bool, message: str, error=None) -> None:
+    """Record one violation; a coercing class raises it instead."""
+    if coerce:
+        raise (error or ConfigurationError)(message)
+    problems.append(message)
+
+
+def _mismatch(ref: str, value: object, shape: Shape) -> str:
+    """The report line of a value that is not of its declared type."""
+    return (
+        f"{ref}: expected {shape.kind.__name__}, got "
+        f"{type(value).__name__} ({value!r})"
+    )
+
+
+def _walk(ref, value, shape: Shape, meta: Mapping, coerce, problems):
+    """``value`` conformed to ``shape``; its violations go to ``problems``.
+
+    Lists become tuples.  Raises :class:`_Mismatch` when ``value`` is
+    not of the declared type (a coercing class also for a tuple entry,
+    so its message names the whole field).
+    """
+    if shape.kind is not tuple:
+        value = _convert(value, shape.kind, coerce)
+        label = meta.get("label", "value")
+        allowed = _choices(meta)
+        if allowed is not None and value not in allowed:
+            _flag(
+                problems,
+                coerce,
+                f"{ref}: unknown {label} {value!r}; accepted: "
+                f"{', '.join(map(str, allowed))}",
+                meta.get("unknown"),
+            )
+        bounds = meta.get("bounds")
+        if bounds is not None and not bounds[0] <= value <= bounds[1]:
+            _flag(
+                problems,
+                coerce,
+                f"{ref}: {value!r} outside the allowed {label} range "
+                f"[{bounds[0]}, {bounds[1]}]",
+            )
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise _Mismatch
+    limits = (
+        (shape.length, shape.length)
+        if shape.length is not None
+        else meta.get("length")
+    )
+    if limits is not None and not limits[0] <= len(value) <= limits[1]:
+        _flag(
+            problems,
+            coerce,
+            f"{ref}: needs between {limits[0]} and {limits[1]} entries, "
+            f"got {len(value)}",
         )
-        return f"{self.name}: {self.description} (got {context})"
+    if shape.element is None:
+        return tuple(value)
+    items = []
+    for k, item in enumerate(value):
+        at = ref if coerce else f"{ref}[{k}]"
+        try:
+            item = _walk(at, item, shape.element, meta, coerce, problems)
+        except _Mismatch:
+            if coerce:
+                raise
+            problems.append(_mismatch(at, item, shape.element))
+        items.append(item)
+    return tuple(items)
+
+
+#: How a coercing class's message names each scalar type.
+_EXPECTS = {bool: "a boolean", str: "a string"}
+
+
+def _check(ref, value, shape: Shape, meta: Mapping, coerce):
+    """One field's conformed value and the list of its violations."""
+    if value is None and shape.optional:
+        return None, []
+    if value is None and not coerce:
+        return value, [f"{ref}: value is required, got None"]
+    problems: list[str] = []
+    try:
+        checked = _walk(ref, value, shape, meta, coerce, problems)
+    except _Mismatch:
+        if not coerce:
+            return value, [_mismatch(ref, value, shape)]
+        if shape.kind is not tuple:
+            expected = _EXPECTS.get(shape.kind, shape.kind.__name__)
+        elif isinstance(value, (list, tuple)):
+            expected = f"a list of {shape.element.kind.__name__}"
+        else:
+            expected = "a list"
+        raise ConfigurationError(
+            f"{ref} expects {expected}, got {value!r}"
+        ) from None
+    if "allowed" in meta and not problems:
+        extra = meta["allowed"](checked)
+        if extra is not None:
+            _flag(problems, coerce, f"{ref}: {extra}")
+    return checked, problems
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Aggregated outcome of one spec validation.
+    """Aggregated outcome of one scenario or room validation.
 
-    Collects *every* parameter and condition violation — construction
+    Collects *every* field and condition violation — construction
     sites raise one :class:`~repro.errors.ConfigurationError` listing
-    them all, instead of the first-failure behaviour the plain
-    dataclasses had.
+    them all, not just the first.
     """
 
     #: What was validated (used in messages), e.g. ``scenario 'tiny'``.
     subject: str
-    #: Hard violations, in parameter-then-condition declared order.
+    #: Hard violations, in field-then-condition declared order.
     errors: tuple[str, ...] = ()
     #: Advisory findings (legal but unusual combinations).
     warnings: tuple[str, ...] = ()
@@ -269,638 +337,118 @@ class ValidationReport:
         return f"{self.subject}: " + ", ".join(parts)
 
 
-def _room_choices() -> tuple:
-    """Registered room-preset names (resolved late: TOML can add rooms)."""
-    from .scenario import ROOM_PRESETS
+def check_values(
+    cls: type, values: Mapping[str, object], subject: str
+) -> tuple[dict[str, object], ValidationReport]:
+    """Check ``values`` against the fields declared on dataclass ``cls``.
 
-    return tuple(ROOM_PRESETS)
+    Unknown keys are errors; a missing field takes its default unless
+    it has none or is declared ``required``.  Each value is checked for
+    its declared type, ``choices``, ``bounds``, ``length`` and
+    ``allowed`` predicate, then the class's ``conditions`` run in
+    declared order, each skipped when a field it reads already failed,
+    so one root cause yields one violation.  ``subject`` names what is
+    checked (``scenario 'tiny'``, ``sweep job field``).
 
-
-def _base_choices() -> tuple:
-    """Registered base-preset names."""
-    from .scenario import _BASE_PRESETS
-
-    return tuple(_BASE_PRESETS)
-
-
-def _qos_choices() -> tuple:
-    """Registered QoS class-mix names."""
-    from ..stream.traffic import QOS_MIXES
-
-    return tuple(sorted(QOS_MIXES))
-
-
-def _traffic_violation(value: object) -> str | None:
-    """Validate an arrival-process spec string (``mixed`` allowed)."""
-    from ..stream.traffic import validate_traffic
-
-    try:
-        validate_traffic(str(value))
-    except ConfigurationError as exc:
-        return str(exc)
-    return None
-
-
-#: The declared scenario schema, in definition order.  Mirrors the
-#: fields of :class:`~repro.campaign.scenario.Scenario`; that dataclass
-#: delegates its construction-time validation here.
-SCENARIO_PARAMETERS: tuple[Parameter, ...] = (
-    Parameter(
-        name="name",
-        type_hint=str,
-        description="Registry name (kebab-case by convention)",
-        allowed=lambda v: "must not be empty" if not v else None,
-        tags=("identity",),
-    ),
-    Parameter(
-        name="description",
-        type_hint=str,
-        description="One-line summary printed by `repro list-scenarios`",
-        tags=("identity",),
-    ),
-    Parameter(
-        name="base",
-        type_hint=str,
-        description="Base dimension preset the scenario derives from",
-        default="reduced",
-        choices=_base_choices,
-        label="base preset",
-        tags=("dimensions",),
-    ),
-    Parameter(
-        name="room",
-        type_hint=str,
-        description="Room-geometry preset key (see ROOM_PRESETS)",
-        default="paper-lab",
-        choices=_room_choices,
-        label="room preset",
-        tags=("environment",),
-    ),
-    Parameter(
-        name="trajectory",
-        type_hint=str,
-        description="Human-trajectory preset walked by every set",
-        default="random-waypoint",
-        choices=TRAJECTORY_PRESETS,
-        label="trajectory preset",
-        tags=("mobility",),
-    ),
-    Parameter(
-        name="num_humans",
-        type_hint=int,
-        description="Simultaneous humans walking the movement area",
-        default=1,
-        bounds=NUM_HUMANS_BOUNDS,
-        tags=("mobility",),
-    ),
-    Parameter(
-        name="speed_range_mps",
-        type_hint=tuple,
-        description="Walking-speed override (min, max) in m/s",
-        default=None,
-        optional=True,
-        length=(2, 2),
-        element_type=float,
-        bounds=MOBILITY_SPEED_BOUNDS_MPS,
-        label="walking speed",
-        tags=("mobility",),
-    ),
-    Parameter(
-        name="speed_profile",
-        type_hint=str,
-        description=(
-            "Per-walker speed assignment: every walker draws from the "
-            "full range ('uniform') or from its own disjoint band "
-            "('heterogeneous')"
-        ),
-        default="uniform",
-        choices=SPEED_PROFILES,
-        label="speed profile",
-        tags=("mobility",),
-    ),
-    Parameter(
-        name="snr_db",
-        type_hint=float,
-        description="Operating-point SNR override in dB",
-        default=None,
-        optional=True,
-        bounds=SNR_BOUNDS_DB,
-        label="SNR",
-        tags=("channel",),
-    ),
-    Parameter(
-        name="snr_grid_db",
-        type_hint=tuple,
-        description="SNR grid in dB evaluated by `repro sweep`",
-        default=(3.0, 6.0, 9.5, 12.0),
-        length=(1, 16),
-        element_type=float,
-        bounds=SNR_BOUNDS_DB,
-        label="SNR",
-        tags=("channel",),
-    ),
-    Parameter(
-        name="num_sets",
-        type_hint=int,
-        description="Measurement-set count override",
-        default=None,
-        optional=True,
-        bounds=NUM_SETS_BOUNDS,
-        tags=("dimensions",),
-    ),
-    Parameter(
-        name="packets_per_set",
-        type_hint=int,
-        description="Packets-per-set override",
-        default=None,
-        optional=True,
-        bounds=PACKETS_PER_SET_BOUNDS,
-        tags=("dimensions",),
-    ),
-    Parameter(
-        name="seed",
-        type_hint=int,
-        description="Campaign seed override",
-        default=None,
-        optional=True,
-        bounds=SEED_BOUNDS,
-        tags=("dimensions",),
-    ),
-    Parameter(
-        name="stream_links",
-        type_hint=int,
-        description="Concurrent links `repro stream` replays by default",
-        default=4,
-        bounds=STREAM_LINKS_BOUNDS,
-        tags=("stream",),
-    ),
-    Parameter(
-        name="traffic",
-        type_hint=str,
-        description=(
-            "Arrival-process model for capacity runs: periodic[:R], "
-            "poisson:R, onoff:R:ON:OFF, diurnal:R:P[:D], or 'mixed'"
-        ),
-        default="periodic",
-        label="traffic spec",
-        allowed=_traffic_violation,
-        tags=("stream", "traffic"),
-    ),
-    Parameter(
-        name="qos",
-        type_hint=str,
-        description="QoS class mix capacity runs schedule against",
-        default="uniform",
-        choices=_qos_choices,
-        label="QoS mix",
-        tags=("stream", "traffic"),
-    ),
-    Parameter(
-        name="tags",
-        type_hint=tuple,
-        description="Free-form labels shown by `repro list-scenarios`",
-        default=(),
-        length=(0, 16),
-        element_type=str,
-        tags=("identity",),
-    ),
-)
-
-_PARAMETER_INDEX = {p.name: p for p in SCENARIO_PARAMETERS}
-
-
-def get_parameter(name: str) -> Parameter:
-    """The declared scenario :class:`Parameter` called ``name``."""
-    parameter = _PARAMETER_INDEX.get(name)
-    if parameter is None:
-        raise ConfigurationError(
-            f"unknown scenario parameter {name!r}; known parameters: "
-            f"{', '.join(p.name for p in SCENARIO_PARAMETERS)}"
-        )
-    return parameter
-
-
-def _speed_range_ordered(values: Mapping[str, object]) -> bool:
-    speed = values.get("speed_range_mps")
-    if speed is None:
-        return True
-    low, high = speed
-    return low <= high
-
-
-def _grouped_has_company(values: Mapping[str, object]) -> bool:
-    if values.get("trajectory") != "grouped":
-        return True
-    return values.get("num_humans", 1) >= 2
-
-
-def _crossing_not_solo(values: Mapping[str, object]) -> bool:
-    if values.get("trajectory") != "crossing":
-        return True
-    return values.get("num_humans", 1) >= 2
-
-
-def _snr_grid_sorted_unique(values: Mapping[str, object]) -> bool:
-    grid = values.get("snr_grid_db") or ()
-    return all(a < b for a, b in zip(grid, grid[1:]))
-
-
-def _stream_links_present(values: Mapping[str, object]) -> bool:
-    links = values.get("stream_links")
-    return links is None or links >= 1
-
-
-#: The declared cross-parameter conditions, in evaluation order.
-SCENARIO_CONDITIONS: tuple[Condition, ...] = (
-    Condition(
-        name="speed-range-ordered",
-        description="speed_range_mps min must be <= max",
-        requires=("speed_range_mps",),
-        check=_speed_range_ordered,
-    ),
-    Condition(
-        name="grouped-needs-company",
-        description=(
-            "grouped trajectories require num_humans >= 2 (a group is "
-            "at least a leader and one follower)"
-        ),
-        requires=("trajectory", "num_humans"),
-        check=_grouped_has_company,
-    ),
-    Condition(
-        name="solo-crossing",
-        description=(
-            "crossing with a single walker is a sparse-blockage "
-            "streaming workload; blockage-density studies want "
-            "num_humans >= 2"
-        ),
-        requires=("trajectory", "num_humans"),
-        check=_crossing_not_solo,
-        severity="warning",
-    ),
-    Condition(
-        name="snr-grid-sorted-unique",
-        description="snr_grid_db must be strictly ascending (no dupes)",
-        requires=("snr_grid_db",),
-        check=_snr_grid_sorted_unique,
-    ),
-    Condition(
-        name="stream-links-positive",
-        description="stream scenarios need at least one link",
-        requires=("stream_links",),
-        check=_stream_links_present,
-    ),
-)
-
-
-def _normalize(value: object) -> object:
-    """Lists (e.g. from TOML/JSON) become tuples, recursively."""
-    if isinstance(value, list):
-        return tuple(_normalize(item) for item in value)
-    if isinstance(value, tuple):
-        return tuple(_normalize(item) for item in value)
-    return value
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A validated-data scenario: declared parameter values + schema.
-
-    The configuration object of the scenario language.  ``values``
-    holds only the explicitly-set parameters; :meth:`effective` merges
-    the schema defaults in.  Specs are plain data — they load from
-    TOML/JSON (:func:`load_scenario_file`), delta-copy into variants
-    (:meth:`delta`), sample from the declared ranges
-    (:func:`sample_scenario_specs`) and materialize as registry
-    :class:`~repro.campaign.scenario.Scenario` objects
-    (:meth:`to_scenario`) with byte-identical resolution semantics.
+    Returns every field's conformed value and the report.  A class that
+    sets ``coerce_fields = True`` never gets a report with errors: it
+    raises at its first bad field instead, with a message naming
+    ``subject`` and the field.
     """
-
-    #: Explicitly-set ``parameter -> value`` pairs (normalized tuples).
-    values: tuple[tuple[str, object], ...] = ()
-
-    @classmethod
-    def from_mapping(cls, values: Mapping[str, object]) -> "ScenarioSpec":
-        """Build a spec from a dict (TOML table, JSON object, kwargs)."""
-        return cls(
-            values=tuple(
-                (name, _normalize(value))
-                for name, value in values.items()
-            )
+    coerce = getattr(cls, "coerce_fields", False)
+    shapes = field_shapes(cls)
+    names = [spec_field.name for spec_field, _ in shapes]
+    errors = [
+        f"{key}: unknown parameter; known parameters: {', '.join(names)}"
+        for key in values
+        if key not in names
+    ]
+    failed: set[str] = set()
+    checked: dict[str, object] = {}
+    for spec_field, shape in shapes:
+        name = spec_field.name
+        if name in values:
+            value = values[name]
+        elif spec_field.default is MISSING or spec_field.metadata.get(
+            "required"
+        ):
+            errors.append(f"{name}: value is required")
+            failed.add(name)
+            continue
+        else:
+            value = spec_field.default
+        ref = f"{subject} {name!r}" if coerce else name
+        checked[name], problems = _check(
+            ref, value, shape, spec_field.metadata, coerce
         )
-
-    def effective(self) -> dict[str, object]:
-        """Declared defaults overlaid with the explicitly-set values."""
-        merged: dict[str, object] = {
-            p.name: p.default
-            for p in SCENARIO_PARAMETERS
-            if p.default is not _MISSING
-        }
-        merged.update(dict(self.values))
-        return merged
-
-    @property
-    def subject(self) -> str:
-        """Message noun of this spec (uses the name when present)."""
-        name = dict(self.values).get("name")
-        return f"scenario {name!r}" if name else "scenario spec"
-
-    def validate(self) -> ValidationReport:
-        """Check every parameter, then every condition, aggregating all.
-
-        Parameter checks run in schema order; conditions run in
-        declared order afterwards and are skipped when any parameter
-        they ``require`` already failed (or was unknown), so one root
-        cause yields one violation.  Unknown keys are errors.
-        """
-        explicit = dict(self.values)
-        merged = self.effective()
-        errors: list[str] = []
-        warnings: list[str] = []
-        failed: set[str] = set()
-        for key in explicit:
-            if key not in _PARAMETER_INDEX:
-                errors.append(
-                    f"{key}: unknown parameter; known parameters: "
-                    f"{', '.join(p.name for p in SCENARIO_PARAMETERS)}"
-                )
-                failed.add(key)
-        for parameter in SCENARIO_PARAMETERS:
-            if parameter.required and parameter.name not in explicit:
-                errors.append(
-                    f"{parameter.name}: value is required"
-                )
-                failed.add(parameter.name)
-                continue
-            problems = parameter.violations(merged[parameter.name])
-            if problems:
-                errors.extend(problems)
-                failed.add(parameter.name)
-        for condition in SCENARIO_CONDITIONS:
-            if any(name in failed for name in condition.requires):
-                continue
-            if condition.check(merged):
-                continue
-            line = condition.message(merged)
-            if condition.severity == "warning":
-                warnings.append(line)
-            else:
-                errors.append(line)
-        return ValidationReport(
-            subject=self.subject,
-            errors=tuple(errors),
-            warnings=tuple(warnings),
-        )
-
-    def delta(self, **changes: object) -> "ScenarioSpec":
-        """Delta-copy: this spec with ``changes`` overlaid (cinnamon).
-
-        Replaces the ad-hoc ``dataclasses.replace`` chains: the copy
-        revalidates wherever it is materialized, so an inconsistent
-        variant fails at construction with the full violation list.
-        """
-        merged = dict(self.values)
-        for name, value in changes.items():
-            merged[name] = _normalize(value)
-        return ScenarioSpec.from_mapping(merged)
-
-    def to_scenario(self):
-        """Materialize the registry :class:`Scenario` (validates)."""
-        from .scenario import Scenario
-
-        return Scenario(**self.effective())
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready dict of the *effective* parameter values."""
-        effective = self.effective()
-        return {
-            name: list(value) if isinstance(value, tuple) else value
-            for name, value in effective.items()
-        }
-
-    def canonical_json(self) -> str:
-        """Canonical one-line JSON (sorted keys) — diff/fuzz stable."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-
-
-def spec_from_scenario(scenario) -> ScenarioSpec:
-    """The :class:`ScenarioSpec` equivalent of a ``Scenario`` dataclass."""
-    import dataclasses
-
-    return ScenarioSpec.from_mapping(
-        {
-            f.name: getattr(scenario, f.name)
-            for f in dataclasses.fields(scenario)
-        }
+        if problems:
+            errors.extend(problems)
+            failed.add(name)
+    warnings: list[str] = []
+    for rule in getattr(cls, "conditions", ()):
+        if failed.intersection(rule.requires) or rule.check(checked):
+            continue
+        line = rule.message(checked)
+        (warnings if rule.severity == "warning" else errors).append(line)
+    return checked, ValidationReport(
+        subject=subject, errors=tuple(errors), warnings=tuple(warnings)
     )
 
 
-def validate_scenario_values(
-    values: Mapping[str, object]
-) -> ValidationReport:
-    """Validate a plain mapping against the scenario schema."""
-    return ScenarioSpec.from_mapping(values).validate()
+def check_fields(obj, subject: str) -> ValidationReport:
+    """:func:`check_values` over a dataclass instance, in place.
+
+    The ``__post_init__`` of scenarios, job specs and run/host options
+    calls this: the conformed values (tuples for lists, converted
+    numbers for a coercing class) replace the given ones.
+    """
+    values, report = check_values(type(obj), vars(obj), subject)
+    for name, value in values.items():
+        if value is not getattr(obj, name):
+            object.__setattr__(obj, name, value)
+    return report
+
+
+def field_problems(cls: type, name: str, value: object) -> list[str]:
+    """Every violation of ``value`` as field ``name`` of ``cls``.
+
+    Checks one value alone (a grid-axis value), without conditions.
+    """
+    ((spec_field, shape),) = [
+        entry for entry in field_shapes(cls) if entry[0].name == name
+    ]
+    coerce = getattr(cls, "coerce_fields", False)
+    return _check(name, value, shape, spec_field.metadata, coerce)[1]
 
 
 def describe_parameters() -> str:
-    """Human-readable catalog of the declared schema + conditions."""
+    """Human-readable catalog of the scenario fields and conditions."""
+    from .scenario import Scenario
+
     lines = ["scenario parameters:"]
-    for p in SCENARIO_PARAMETERS:
+    for spec_field, shape in field_shapes(Scenario):
+        meta = spec_field.metadata
         constraint = []
-        choices = p.resolved_choices()
+        choices = _choices(meta)
         if choices is not None:
             constraint.append(f"choices={sorted(choices)}")
-        if p.bounds is not None:
-            constraint.append(f"range=[{p.bounds[0]}, {p.bounds[1]}]")
-        if p.optional:
+        if "bounds" in meta:
+            low, high = meta["bounds"]
+            constraint.append(f"range=[{low}, {high}]")
+        if shape.optional:
             constraint.append("optional")
-        if p.default is not _MISSING and p.default is not None:
-            constraint.append(f"default={p.default!r}")
+        if spec_field.default not in (MISSING, None):
+            constraint.append(f"default={spec_field.default!r}")
         suffix = f" ({'; '.join(constraint)})" if constraint else ""
         lines.append(
-            f"  {p.name:<16} {_type_name(p.type_hint):<7} "
-            f"{p.description}{suffix}"
+            f"  {spec_field.name:<16} {shape.kind.__name__:<7} "
+            f"{meta['help']}{suffix}"
         )
     lines.append("conditions:")
-    for c in SCENARIO_CONDITIONS:
-        severity = "" if c.severity == "error" else f" [{c.severity}]"
-        lines.append(f"  {c.name:<24} {c.description}{severity}")
+    for rule in Scenario.conditions:
+        severity = "" if rule.severity == "error" else f" [{rule.severity}]"
+        lines.append(f"  {rule.name:<24} {rule.description}{severity}")
     return "\n".join(lines)
-
-
-# -- room geometry schema (custom rooms from TOML/JSON files) ------------
-def _xy_area_in_room(values: Mapping[str, object]) -> bool:
-    area = values.get("movement_area")
-    x0, y0, x1, y1 = area
-    return (
-        0 <= x0 < x1 <= values["width_m"]
-        and 0 <= y0 < y1 <= values["depth_m"]
-    )
-
-
-def _devices_in_room(values: Mapping[str, object]) -> bool:
-    for key in ("tx_position", "rx_position"):
-        x, y, z = values[key]
-        if not (
-            0 <= x <= values["width_m"]
-            and 0 <= y <= values["depth_m"]
-            and 0 <= z <= values["height_m"]
-        ):
-            return False
-    return True
-
-
-#: The declared room-geometry schema used by TOML ``[rooms.<name>]``
-#: tables; mirrors :class:`~repro.config.RoomConfig`.
-ROOM_PARAMETERS: tuple[Parameter, ...] = (
-    Parameter(
-        name="width_m",
-        type_hint=float,
-        description="Room width in metres",
-        bounds=(1.0, 50.0),
-    ),
-    Parameter(
-        name="depth_m",
-        type_hint=float,
-        description="Room depth in metres",
-        bounds=(1.0, 50.0),
-    ),
-    Parameter(
-        name="height_m",
-        type_hint=float,
-        description="Room height in metres",
-        default=3.0,
-        bounds=(2.0, 10.0),
-    ),
-    Parameter(
-        name="tx_position",
-        type_hint=tuple,
-        description="Transmitter (x, y, z) in metres",
-        length=(3, 3),
-        element_type=float,
-    ),
-    Parameter(
-        name="rx_position",
-        type_hint=tuple,
-        description="Receiver (x, y, z) in metres",
-        length=(3, 3),
-        element_type=float,
-    ),
-    Parameter(
-        name="movement_area",
-        type_hint=tuple,
-        description="Walker area (x0, y0, x1, y1) in metres",
-        length=(4, 4),
-        element_type=float,
-    ),
-    Parameter(
-        name="scatterers",
-        type_hint=tuple,
-        description="Static scatterers as (x, y, height, gain) tuples",
-        default=(),
-        length=(0, 16),
-        element_type=tuple,
-    ),
-    Parameter(
-        name="wall_reflectivity",
-        type_hint=float,
-        description="Wall reflection coefficient",
-        default=0.45,
-        bounds=(0.0, 1.0),
-    ),
-    Parameter(
-        name="ceiling_reflectivity",
-        type_hint=float,
-        description="Ceiling reflection coefficient",
-        default=0.30,
-        bounds=(0.0, 1.0),
-    ),
-)
-
-#: Cross-parameter conditions of the room schema.
-ROOM_CONDITIONS: tuple[Condition, ...] = (
-    Condition(
-        name="movement-area-in-room",
-        description=(
-            "movement_area must lie inside the room footprint with "
-            "x0 < x1 and y0 < y1"
-        ),
-        requires=("movement_area", "width_m", "depth_m"),
-        check=_xy_area_in_room,
-    ),
-    Condition(
-        name="devices-in-room",
-        description="tx_position and rx_position must lie inside the room",
-        requires=(
-            "tx_position",
-            "rx_position",
-            "width_m",
-            "depth_m",
-            "height_m",
-        ),
-        check=_devices_in_room,
-    ),
-)
-
-
-def validate_room_values(
-    values: Mapping[str, object], subject: str = "room spec"
-) -> ValidationReport:
-    """Aggregate-validate a room table against :data:`ROOM_PARAMETERS`."""
-    explicit = {
-        name: _normalize(value) for name, value in values.items()
-    }
-    index = {p.name: p for p in ROOM_PARAMETERS}
-    merged = {
-        p.name: p.default
-        for p in ROOM_PARAMETERS
-        if p.default is not _MISSING
-    }
-    merged.update(explicit)
-    errors: list[str] = []
-    failed: set[str] = set()
-    for key in explicit:
-        if key not in index:
-            errors.append(f"{key}: unknown room parameter")
-            failed.add(key)
-    for parameter in ROOM_PARAMETERS:
-        if parameter.required and parameter.name not in explicit:
-            errors.append(f"{parameter.name}: value is required")
-            failed.add(parameter.name)
-            continue
-        problems = parameter.violations(merged[parameter.name])
-        if problems:
-            errors.extend(problems)
-            failed.add(parameter.name)
-    for condition in ROOM_CONDITIONS:
-        if any(name in failed for name in condition.requires):
-            continue
-        if not condition.check(merged):
-            errors.append(condition.message(merged))
-    return ValidationReport(subject=subject, errors=tuple(errors))
-
-
-def build_room(values: Mapping[str, object], name: str):
-    """Construct a validated :class:`~repro.config.RoomConfig`.
-
-    Runs the aggregated room schema first — every violation reported
-    at once — then materializes the (already consistent) dataclass.
-    """
-    from ..config import RoomConfig
-
-    report = validate_room_values(values, subject=f"room {name!r}")
-    report.raise_for_errors()
-    merged = {
-        p.name: p.default
-        for p in ROOM_PARAMETERS
-        if p.default is not _MISSING
-    }
-    merged.update(
-        {key: _normalize(value) for key, value in values.items()}
-    )
-    return RoomConfig(**merged)
 
 
 # -- TOML / JSON scenario files ------------------------------------------
@@ -924,14 +472,23 @@ def load_scenario_file(
     """Load (and by default register) scenarios from a TOML/JSON file.
 
     The file declares an optional ``[rooms.<name>]`` table per custom
-    room geometry (validated through :data:`ROOM_PARAMETERS` and added
-    to ``ROOM_PRESETS``) and a ``[[scenarios]]`` array of scenario
-    tables (validated through the scenario schema).  Every table is
-    validated *before* anything is registered, so a broken file changes
-    nothing; the aggregated error lists each bad table's full violation
-    set.  Returns the loaded :class:`Scenario` objects in file order.
+    room geometry (checked against the fields of
+    :class:`~repro.config.RoomConfig` and added to ``ROOM_PRESETS``)
+    and a ``[[scenarios]]`` array of scenario tables (checked against
+    the fields of :class:`~repro.campaign.scenario.Scenario`).  A room
+    table must give the fields declared ``required`` and has no
+    scatterers unless it lists them.  Every table is validated *before*
+    anything is registered, so a broken file changes nothing; the
+    aggregated error lists each bad table's full violation set.
+    Returns the loaded scenarios in file order.
     """
-    from .scenario import ROOM_PRESETS, register_scenario
+    from ..config import RoomConfig
+    from .scenario import (
+        ROOM_PRESETS,
+        Scenario,
+        register_scenario,
+        scenario_subject,
+    )
 
     path = Path(path)
     if not path.exists():
@@ -953,21 +510,24 @@ def load_scenario_file(
     errors: list[str] = []
     built_rooms = {}
     for room_name, table in rooms.items():
-        report = validate_room_values(
-            table, subject=f"room {room_name!r}"
+        values, report = check_values(
+            RoomConfig, {"scatterers": (), **table}, f"room {room_name!r}"
         )
         if report.errors:
             errors.extend(report.errors)
         else:
-            built_rooms[room_name] = build_room(table, room_name)
+            built_rooms[room_name] = RoomConfig(**values)
     # Custom rooms must be visible to scenario validation below.
     ROOM_PRESETS.update(built_rooms)
-    specs = [ScenarioSpec.from_mapping(entry) for entry in entries]
-    for spec in specs:
-        report = spec.validate()
+    tables = []
+    for entry in entries:
+        values, report = check_values(
+            Scenario, entry, scenario_subject(entry.get("name"))
+        )
         errors.extend(
             f"{report.subject}: {line}" for line in report.errors
         )
+        tables.append(values)
     if errors:
         for room_name in built_rooms:
             ROOM_PRESETS.pop(room_name, None)
@@ -975,7 +535,7 @@ def load_scenario_file(
             f"{path.name} failed validation with {len(errors)} "
             "violation(s): " + "; ".join(errors)
         )
-    scenarios = [spec.to_scenario() for spec in specs]
+    scenarios = [Scenario(**values) for values in tables]
     if register:
         for scenario in scenarios:
             register_scenario(scenario, replace=replace)
@@ -1000,6 +560,8 @@ def _draw_values(
     rng: random.Random, seed: int, index: int, scale: str
 ) -> dict[str, object]:
     """One (possibly invalid) uniform draw from the declared ranges."""
+    from .scenario import ROOM_PRESETS
+
     if scale == "tiny":
         base = "tiny"
         num_sets = 3
@@ -1020,7 +582,7 @@ def _draw_values(
         "description": f"seeded sample {index} of scenario space "
         f"(seed {seed})",
         "base": base,
-        "room": rng.choice(tuple(_room_choices())),
+        "room": rng.choice(tuple(ROOM_PRESETS)),
         "trajectory": rng.choice(TRAJECTORY_PRESETS),
         "num_humans": rng.randint(1, 3),
         "speed_range_mps": rng.choice((None, (low, high))),
@@ -1047,20 +609,20 @@ def _draw_values(
     }
 
 
-def sample_scenario_specs(
-    seed: int, count: int, scale: str = "full"
-) -> list[ScenarioSpec]:
-    """Draw ``count`` *valid* scenario specs from the declared ranges.
+def sample_scenarios(seed: int, count: int, scale: str = "full") -> list:
+    """Draw ``count`` *valid* scenarios from the declared ranges.
 
     Rejection sampling over :func:`_draw_values`: each candidate is a
-    uniform draw from every parameter's declared range/choices; draws
+    uniform draw from every field's declared range/choices; draws
     violating a declared condition (e.g. a grouped trajectory with one
-    human) are discarded and redrawn, so every returned spec validates
-    and resolves.  The sequence is a pure function of ``(seed, count,
-    scale)`` — :class:`random.Random` is process- and platform-stable —
-    which is what makes the fuzz suite and the nightly determinism
-    sentinel reproducible.
+    human) are discarded and redrawn, so every returned scenario
+    validates and resolves.  The sequence is a pure function of
+    ``(seed, count, scale)`` — :class:`random.Random` is process- and
+    platform-stable — which is what makes the fuzz suite and the
+    nightly determinism sentinel reproducible.
     """
+    from .scenario import Scenario
+
     if scale not in SAMPLE_SCALES:
         raise ConfigurationError(
             f"unknown sample scale {scale!r}; expected one of "
@@ -1069,28 +631,18 @@ def sample_scenario_specs(
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
     rng = random.Random(int(seed))
-    specs: list[ScenarioSpec] = []
+    scenarios: list = []
     attempts = 0
-    while len(specs) < count:
+    while len(scenarios) < count:
         attempts += 1
         if attempts > 100 * count:
             raise ConfigurationError(
-                "sampler failed to draw enough valid specs; the "
+                "sampler failed to draw enough valid scenarios; the "
                 "declared ranges are inconsistent with the conditions"
             )
-        spec = ScenarioSpec.from_mapping(
-            _draw_values(rng, int(seed), len(specs), scale)
-        )
-        if spec.validate().ok:
-            specs.append(spec)
-    return specs
-
-
-def sample_scenarios(
-    seed: int, count: int, scale: str = "full"
-) -> list:
-    """:func:`sample_scenario_specs` materialized as ``Scenario`` objects."""
-    return [
-        spec.to_scenario()
-        for spec in sample_scenario_specs(seed, count, scale=scale)
-    ]
+        draw = _draw_values(rng, int(seed), len(scenarios), scale)
+        try:
+            scenarios.append(Scenario(**draw))
+        except ConfigurationError:
+            continue
+    return scenarios

@@ -17,24 +17,47 @@ their derived member scenarios here too — a grid member like
 ``smoke-grid/snr_db=6,seed=0,speed=0.4-0.8`` is a first-class scenario
 every step builder accepts by name.
 
-Validation is delegated to the scenario language in
-:mod:`repro.campaign.params`: every field is a declared
-:class:`~repro.campaign.params.Parameter` and cross-field rules are
-declared :class:`~repro.campaign.params.Condition` objects, so an
-inconsistent scenario fails at construction with the *full* list of
-violations.  :meth:`Scenario.variant` delta-copies through the same
-schema, and scenarios can be loaded from TOML/JSON files
-(:func:`~repro.campaign.params.load_scenario_file`) or sampled from the
-declared ranges (:func:`~repro.campaign.params.sample_scenarios`).
+Each field is declared once, on :class:`Scenario`: the annotation gives
+its type, the default its default, and its
+:func:`~repro.campaign.params.param` declaration its help text, bounds,
+choices, message label and ``allowed`` predicate;
+:attr:`Scenario.conditions` holds the cross-field rules.  The field
+walker of :mod:`repro.campaign.params` checks both at construction, so
+an inconsistent scenario fails with the *full* list of violations.
+:meth:`Scenario.variant` is :func:`dataclasses.replace`, so a variant
+is checked the same way.  Scenarios can also be loaded from TOML/JSON
+files (:func:`~repro.campaign.params.load_scenario_file`) or sampled
+from the declared ranges (:func:`~repro.campaign.params.sample_scenarios`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
+from typing import ClassVar, Mapping
 
-from ..config import MobilityConfig, RoomConfig, SimulationConfig
+from ..config import (
+    SPEED_PROFILES,
+    TRAJECTORY_PRESETS,
+    Condition,
+    MobilityConfig,
+    RoomConfig,
+    SimulationConfig,
+)
 from ..errors import ConfigurationError, NotFoundError
+from .params import (
+    MOBILITY_SPEED_BOUNDS_MPS,
+    NUM_HUMANS_BOUNDS,
+    NUM_SETS_BOUNDS,
+    PACKETS_PER_SET_BOUNDS,
+    SEED_BOUNDS,
+    SNR_BOUNDS_DB,
+    STREAM_LINKS_BOUNDS,
+    ValidationReport,
+    check_fields,
+    param,
+)
 
 #: Room-geometry presets selectable by name from a scenario.
 ROOM_PRESETS: dict[str, RoomConfig] = {
@@ -82,75 +105,216 @@ _BASE_PRESETS = {
 }
 
 
+def scenario_subject(name: object) -> str:
+    """Message noun of a scenario (its name when it has one)."""
+    return f"scenario {name!r}" if name else "scenario spec"
+
+
+def _qos_mixes() -> tuple:
+    """Registered QoS class-mix names."""
+    from ..stream.traffic import QOS_MIXES
+
+    return tuple(sorted(QOS_MIXES))
+
+
+def _traffic_violation(value: str) -> str | None:
+    """Validate an arrival-process spec string (``mixed`` allowed)."""
+    from ..stream.traffic import validate_traffic
+
+    try:
+        validate_traffic(value)
+    except ConfigurationError as exc:
+        return str(exc)
+    return None
+
+
+def _speed_range_ordered(values: Mapping[str, object]) -> bool:
+    speed = values["speed_range_mps"]
+    return speed is None or speed[0] <= speed[1]
+
+
+def _grouped_has_company(values: Mapping[str, object]) -> bool:
+    return values["trajectory"] != "grouped" or values["num_humans"] >= 2
+
+
+def _crossing_not_solo(values: Mapping[str, object]) -> bool:
+    return values["trajectory"] != "crossing" or values["num_humans"] >= 2
+
+
+def _snr_grid_sorted_unique(values: Mapping[str, object]) -> bool:
+    grid = values["snr_grid_db"]
+    return all(a < b for a, b in zip(grid, grid[1:]))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One named, declarative campaign configuration.
 
     Every field is plain data so scenarios hash stably into dataset
     cache keys; :meth:`resolve` materializes the corresponding
-    :class:`~repro.config.SimulationConfig`.
+    :class:`~repro.config.SimulationConfig`.  ``traffic`` and ``qos``
+    are stream-only: never part of :meth:`resolve`, so dataset cache
+    keys do not depend on them.
     """
 
-    #: Registry name (kebab-case by convention).
-    name: str
-    #: One-line summary printed by ``repro list-scenarios``.
-    description: str
-    #: Base dimension preset: ``"paper"``, ``"reduced"`` or ``"tiny"``.
-    base: str = "reduced"
-    #: Room-geometry preset key from :data:`ROOM_PRESETS`.
-    room: str = "paper-lab"
-    #: Human-trajectory preset (``"random-waypoint"`` or ``"crossing"``).
-    trajectory: str = "random-waypoint"
-    #: Number of simultaneous humans walking the movement area.
-    num_humans: int = 1
-    #: Walking-speed range override ``(min, max)`` in m/s.
-    speed_range_mps: tuple[float, float] | None = None
-    #: Per-walker speed assignment: ``"uniform"`` (all walkers share
-    #: the full range) or ``"heterogeneous"`` (disjoint per-walker
-    #: bands; see :func:`repro.channel.walker_speed_band`).
-    speed_profile: str = "uniform"
-    #: Operating-point SNR override for single-point campaigns.
-    snr_db: float | None = None
-    #: SNR grid evaluated by ``repro sweep`` (highest first in reports).
-    snr_grid_db: tuple[float, ...] = (3.0, 6.0, 9.5, 12.0)
-    #: Measurement-set count override (packet budget = sets x packets).
-    num_sets: int | None = None
-    #: Packets-per-set override.
-    packets_per_set: int | None = None
-    #: Campaign seed override.
-    seed: int | None = None
-    #: Concurrent links the ``repro stream`` campaign replays by
-    #: default (each link walks its own seed-disjoint trajectory).
-    stream_links: int = 4
-    #: Arrival-process spec capacity runs drive the links with
-    #: (``periodic[:R]``, ``poisson:R``, ``onoff:R:ON:OFF``,
-    #: ``diurnal:R:P[:D]`` or ``mixed``).  Stream-only: never part of
-    #: :meth:`resolve`, so dataset cache keys are unaffected.
-    traffic: str = "periodic"
-    #: QoS class mix capacity runs schedule against (see
-    #: :data:`repro.stream.traffic.QOS_MIXES`).  Stream-only, like
-    #: :attr:`traffic`.
-    qos: str = "uniform"
-    #: Free-form labels shown by ``repro list-scenarios``.
-    tags: tuple[str, ...] = ()
+    name: str = field(
+        metadata={
+            "help": "Registry name (kebab-case by convention)",
+            "allowed": lambda v: "must not be empty" if not v else None,
+        }
+    )
+    description: str = field(
+        metadata={
+            "help": "One-line summary printed by `repro list-scenarios`"
+        }
+    )
+    base: str = param(
+        "reduced",
+        "Base dimension preset the scenario derives from",
+        choices=_BASE_PRESETS,
+        label="base preset",
+    )
+    room: str = param(
+        "paper-lab",
+        "Room-geometry preset key (see ROOM_PRESETS)",
+        choices=ROOM_PRESETS,
+        label="room preset",
+    )
+    trajectory: str = param(
+        "random-waypoint",
+        "Human-trajectory preset walked by every set",
+        choices=TRAJECTORY_PRESETS,
+        label="trajectory preset",
+    )
+    num_humans: int = param(
+        1,
+        "Simultaneous humans walking the movement area",
+        bounds=NUM_HUMANS_BOUNDS,
+    )
+    speed_range_mps: tuple[float, float] | None = param(
+        None,
+        "Walking-speed override (min, max) in m/s",
+        bounds=MOBILITY_SPEED_BOUNDS_MPS,
+        label="walking speed",
+    )
+    # "heterogeneous" bands: see repro.channel.walker_speed_band.
+    speed_profile: str = param(
+        "uniform",
+        "Per-walker speed assignment: every walker draws from the "
+        "full range ('uniform') or from its own disjoint band "
+        "('heterogeneous')",
+        choices=SPEED_PROFILES,
+        label="speed profile",
+    )
+    snr_db: float | None = param(
+        None,
+        "Operating-point SNR override in dB",
+        bounds=SNR_BOUNDS_DB,
+        label="SNR",
+    )
+    snr_grid_db: tuple[float, ...] = param(
+        (3.0, 6.0, 9.5, 12.0),
+        "SNR grid in dB evaluated by `repro sweep`",
+        length=(1, 16),
+        bounds=SNR_BOUNDS_DB,
+        label="SNR",
+    )
+    num_sets: int | None = param(
+        None, "Measurement-set count override", bounds=NUM_SETS_BOUNDS
+    )
+    packets_per_set: int | None = param(
+        None, "Packets-per-set override", bounds=PACKETS_PER_SET_BOUNDS
+    )
+    seed: int | None = param(
+        None, "Campaign seed override", bounds=SEED_BOUNDS
+    )
+    stream_links: int = param(
+        4,
+        "Concurrent links `repro stream` replays by default",
+        bounds=STREAM_LINKS_BOUNDS,
+    )
+    traffic: str = param(
+        "periodic",
+        "Arrival-process model for capacity runs: periodic[:R], "
+        "poisson:R, onoff:R:ON:OFF, diurnal:R:P[:D], or 'mixed'",
+        label="traffic spec",
+        allowed=_traffic_violation,
+    )
+    qos: str = param(
+        "uniform",
+        "QoS class mix capacity runs schedule against",
+        choices=_qos_mixes,
+        label="QoS mix",
+    )
+    tags: tuple[str, ...] = param(
+        (),
+        "Free-form labels shown by `repro list-scenarios`",
+        length=(0, 16),
+    )
+
+    #: Cross-field rules, evaluated in this order after the field checks.
+    conditions: ClassVar[tuple[Condition, ...]] = (
+        Condition(
+            name="speed-range-ordered",
+            description="speed_range_mps min must be <= max",
+            requires=("speed_range_mps",),
+            check=_speed_range_ordered,
+        ),
+        Condition(
+            name="grouped-needs-company",
+            description=(
+                "grouped trajectories require num_humans >= 2 (a group "
+                "is at least a leader and one follower)"
+            ),
+            requires=("trajectory", "num_humans"),
+            check=_grouped_has_company,
+        ),
+        Condition(
+            name="solo-crossing",
+            description=(
+                "crossing with a single walker is a sparse-blockage "
+                "streaming workload; blockage-density studies want "
+                "num_humans >= 2"
+            ),
+            requires=("trajectory", "num_humans"),
+            check=_crossing_not_solo,
+            severity="warning",
+        ),
+        Condition(
+            name="snr-grid-sorted-unique",
+            description="snr_grid_db must be strictly ascending (no dupes)",
+            requires=("snr_grid_db",),
+            check=_snr_grid_sorted_unique,
+        ),
+    )
 
     def __post_init__(self) -> None:
-        from .params import spec_from_scenario
+        self.validate().raise_for_errors()
 
-        spec_from_scenario(self).validate().raise_for_errors()
+    def validate(self) -> ValidationReport:
+        """Every field and condition violation, and every warning."""
+        return check_fields(self, scenario_subject(self.name))
 
     def variant(self, **overrides: object) -> "Scenario":
         """Delta-copy: this scenario with ``overrides`` applied.
 
-        Routes through the :class:`~repro.campaign.params.ScenarioSpec`
-        schema, so an inconsistent variant fails at construction with
-        the full aggregated violation list (replacing the old ad-hoc
-        ``dataclasses.replace`` chains).
+        :func:`dataclasses.replace`, so an inconsistent variant fails
+        at construction with the full aggregated violation list.
         """
-        from .params import spec_from_scenario
+        return dataclasses.replace(self, **overrides)
 
-        spec = spec_from_scenario(self).delta(**overrides)
-        return spec.to_scenario()
+    def to_dict(self) -> dict[str, object]:
+        """JSON-ready dict of every field (tuples become lists)."""
+        return {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in vars(self).items()
+        }
+
+    def canonical_json(self) -> str:
+        """Canonical one-line JSON (sorted keys) — diff/fuzz stable."""
+        return json.dumps(
+            self.to_dict(), sort_keys=True, separators=(",", ":")
+        )
 
     def resolve(self) -> SimulationConfig:
         """Materialize the concrete :class:`SimulationConfig`.

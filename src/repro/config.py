@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Callable, ClassVar, Mapping
 
 from .errors import ConfigurationError
 
@@ -63,6 +64,7 @@ class PhyConfig:
 
     @property
     def chip_period_s(self) -> float:
+        """Duration of one chip (0.5 us at 2 Mchip/s)."""
         return 1.0 / self.chip_rate_hz
 
     @property
@@ -132,39 +134,148 @@ class ChannelConfig:
 
 
 @dataclass(frozen=True)
+class Condition:
+    """One declared cross-field rule of a configuration dataclass.
+
+    A class lists its rules in a ``conditions`` class attribute; the
+    field walker of :mod:`repro.campaign.params` evaluates them in
+    declared order after the field checks and skips a rule when a field
+    it ``requires`` already failed, so one root cause yields one
+    violation.  ``severity="warning"`` rules are reported but do not
+    fail validation (legal but unusual combinations).
+    """
+
+    #: Stable kebab-case identifier of the rule.
+    name: str
+    #: Human sentence describing the requirement.
+    description: str
+    #: Fields the predicate reads.
+    requires: tuple[str, ...]
+    #: Returns ``True`` when the combination is consistent.
+    check: Callable[[Mapping[str, object]], bool]
+    #: ``"error"`` fails validation; ``"warning"`` is advisory.
+    severity: str = "error"
+
+    def message(self, values: Mapping[str, object]) -> str:
+        """The report line emitted when the rule is violated."""
+        context = ", ".join(
+            f"{name}={values.get(name)!r}" for name in self.requires
+        )
+        return f"{self.name}: {self.description} (got {context})"
+
+
+def _area_in_room(room: Mapping[str, object]) -> bool:
+    x0, y0, x1, y1 = room["movement_area"]
+    return 0 <= x0 < x1 <= room["width_m"] and 0 <= y0 < y1 <= room["depth_m"]
+
+
+def _devices_in_room(room: Mapping[str, object]) -> bool:
+    return all(
+        0 <= x <= room["width_m"]
+        and 0 <= y <= room["depth_m"]
+        and 0 <= z <= room["height_m"]
+        for x, y, z in (room["tx_position"], room["rx_position"])
+    )
+
+
+@dataclass(frozen=True)
 class RoomConfig:
     """Geometry of the laboratory room (Fig. 2).
 
     Coordinates are metres; the room spans ``[0, width] x [0, depth] x
     [0, height]``.  The transmitter and receiver face each other across the
     human movement area so the walking human periodically blocks the LoS.
+    The defaults are the paper's laboratory; a ``[rooms.<name>]`` table
+    of a scenario file must give the fields marked ``required``.
     """
 
-    width_m: float = 8.0
-    depth_m: float = 6.0
-    height_m: float = 3.0
-    tx_position: tuple[float, float, float] = (1.0, 3.0, 1.2)
-    rx_position: tuple[float, float, float] = (7.0, 3.0, 1.2)
-    movement_area: tuple[float, float, float, float] = (2.2, 1.2, 6.5, 4.8)
-    scatterers: tuple[tuple[float, float, float, float], ...] = (
-        (2.0, 5.5, 1.0, 0.30),
-        (6.0, 0.8, 0.9, 0.24),
-        (4.5, 5.2, 1.5, 0.27),
+    width_m: float = field(
+        default=8.0,
+        metadata={
+            "help": "Room width in metres",
+            "bounds": (1.0, 50.0),
+            "required": True,
+        },
     )
-    wall_reflectivity: float = 0.45
-    ceiling_reflectivity: float = 0.30
+    depth_m: float = field(
+        default=6.0,
+        metadata={
+            "help": "Room depth in metres",
+            "bounds": (1.0, 50.0),
+            "required": True,
+        },
+    )
+    height_m: float = field(
+        default=3.0,
+        metadata={"help": "Room height in metres", "bounds": (2.0, 10.0)},
+    )
+    tx_position: tuple[float, float, float] = field(
+        default=(1.0, 3.0, 1.2),
+        metadata={"help": "Transmitter (x, y, z) in metres", "required": True},
+    )
+    rx_position: tuple[float, float, float] = field(
+        default=(7.0, 3.0, 1.2),
+        metadata={"help": "Receiver (x, y, z) in metres", "required": True},
+    )
+    movement_area: tuple[float, float, float, float] = field(
+        default=(2.2, 1.2, 6.5, 4.8),
+        metadata={
+            "help": "Walker area (x0, y0, x1, y1) in metres",
+            "required": True,
+        },
+    )
+    scatterers: tuple[tuple[float, float, float, float], ...] = field(
+        default=(
+            (2.0, 5.5, 1.0, 0.30),
+            (6.0, 0.8, 0.9, 0.24),
+            (4.5, 5.2, 1.5, 0.27),
+        ),
+        metadata={
+            "help": "Static scatterers as (x, y, height, gain) tuples",
+            "length": (0, 16),
+        },
+    )
+    wall_reflectivity: float = field(
+        default=0.45,
+        metadata={"help": "Wall reflection coefficient", "bounds": (0.0, 1.0)},
+    )
+    ceiling_reflectivity: float = field(
+        default=0.30,
+        metadata={
+            "help": "Ceiling reflection coefficient",
+            "bounds": (0.0, 1.0),
+        },
+    )
+
+    #: The room geometry rules.
+    conditions: ClassVar[tuple[Condition, ...]] = (
+        Condition(
+            name="movement-area-in-room",
+            description=(
+                "movement_area must lie inside the room footprint with "
+                "x0 < x1 and y0 < y1"
+            ),
+            requires=("movement_area", "width_m", "depth_m"),
+            check=_area_in_room,
+        ),
+        Condition(
+            name="devices-in-room",
+            description="tx_position and rx_position must lie inside the room",
+            requires=(
+                "tx_position",
+                "rx_position",
+                "width_m",
+                "depth_m",
+                "height_m",
+            ),
+            check=_devices_in_room,
+        ),
+    )
 
     def __post_init__(self) -> None:
-        x0, y0, x1, y1 = self.movement_area
-        if not (0 <= x0 < x1 <= self.width_m and 0 <= y0 < y1 <= self.depth_m):
-            raise ConfigurationError(
-                f"movement_area {self.movement_area} must lie inside the room"
-            )
-        for pos in (self.tx_position, self.rx_position):
-            x, y, z = pos
-            inside = 0 <= x <= self.width_m and 0 <= y <= self.depth_m
-            if not (inside and 0 <= z <= self.height_m):
-                raise ConfigurationError(f"device position {pos} outside room")
+        for rule in self.conditions:
+            if not rule.check(vars(self)):
+                raise ConfigurationError(rule.message(vars(self)))
 
 
 @dataclass(frozen=True)
@@ -195,6 +306,7 @@ class CameraConfig:
 
     @property
     def frame_interval_s(self) -> float:
+        """Time between two camera frames (33.3 ms at 30 fps)."""
         return 1.0 / self.fps
 
 

@@ -29,6 +29,16 @@ def _pool_features(images: np.ndarray, factor: int = 5) -> np.ndarray:
     return np.concatenate([flat, np.ones((n, 1))], axis=1)
 
 
+def _sigmoid(logits: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-logits))``, silent where ``exp`` overflows.
+
+    A logit below about -709 overflows ``exp`` to ``inf``, which gives
+    exactly the limit 0.0, so only the warning is suppressed.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-logits))
+
+
 class BlockageDetector:
     """Logistic regression: depth image -> P(LoS blocked).
 
@@ -81,6 +91,11 @@ class BlockageDetector:
     def fit(
         self, sets: Sequence[MeasurementSet], config: SimulationConfig
     ) -> "BlockageDetector":
+        """Fit the classifier on every packet of ``sets``; returns ``self``.
+
+        Full-batch gradient descent on the L2-regularized logistic loss
+        over the standardized pooled-depth features.
+        """
         images, labels = self._dataset(sets, config)
         features = _pool_features(images, self.pool_factor)
         # Standardize every pooled-depth feature; the bias column keeps
@@ -94,7 +109,7 @@ class BlockageDetector:
         n = len(labels)
         for _ in range(self.epochs):
             logits = features @ weights
-            probabilities = 1.0 / (1.0 + np.exp(-logits))
+            probabilities = _sigmoid(logits)
             gradient = features.T @ (probabilities - labels) / n
             gradient += self.l2 * weights
             weights -= self.learning_rate * gradient
@@ -103,6 +118,7 @@ class BlockageDetector:
 
     # -- inference ---------------------------------------------------------
     def predict_proba(self, images: np.ndarray) -> np.ndarray:
+        """P(LoS blocked) for one ``(rows, cols)`` image or a batch."""
         if self.weights is None:
             raise NotFittedError("BlockageDetector used before fit()")
         if images.ndim == 2:
@@ -110,14 +126,16 @@ class BlockageDetector:
         features = self._standardize(
             _pool_features(images, self.pool_factor)
         )
-        return 1.0 / (1.0 + np.exp(-(features @ self.weights)))
+        return _sigmoid(features @ self.weights)
 
     def predict(self, images: np.ndarray) -> np.ndarray:
+        """Boolean blockage decisions at the 0.5 probability threshold."""
         return self.predict_proba(images) >= 0.5
 
     def accuracy(
         self, sets: Sequence[MeasurementSet], config: SimulationConfig
     ) -> float:
+        """Fraction of the packets of ``sets`` classified correctly."""
         images, labels = self._dataset(sets, config)
         predictions = self.predict(images)
         return float(np.mean(predictions == labels.astype(bool)))

@@ -17,14 +17,11 @@ The module names follow the paper's Sec. 2.1:
 
 from .convolution import (
     convolution_matrix,
-    convolve_batch,
-    correlate_lags_batch,
     cross_correlate_full,
     autocorrelation,
 )
 from .estimation import (
     ls_channel_estimate,
-    ls_channel_estimate_batch,
     valid_ls_operator,
     apply_fir_channel,
 )
@@ -32,7 +29,6 @@ from .equalization import (
     zero_forcing_equalizer,
     mmse_equalizer,
     equalize,
-    equalize_batch,
     equalizer_delay,
 )
 from .phase import (
@@ -48,18 +44,14 @@ from .metrics import complex_mse, normalized_correlation, error_vector_magnitude
 
 __all__ = [
     "convolution_matrix",
-    "convolve_batch",
-    "correlate_lags_batch",
     "cross_correlate_full",
     "autocorrelation",
     "ls_channel_estimate",
-    "ls_channel_estimate_batch",
     "valid_ls_operator",
     "apply_fir_channel",
     "zero_forcing_equalizer",
     "mmse_equalizer",
     "equalize",
-    "equalize_batch",
     "equalizer_delay",
     "estimate_phase_shift",
     "estimate_phase_shift_batch",

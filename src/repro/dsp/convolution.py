@@ -39,102 +39,6 @@ def convolution_matrix(x: np.ndarray, num_taps: int) -> np.ndarray:
     return matrix
 
 
-def convolve_batch(
-    signals: np.ndarray, taps: np.ndarray, method: str = "auto"
-) -> np.ndarray:
-    """Row-wise full linear convolution of a signal batch with a tap batch.
-
-    ``convolve_batch(S, T)[p] == np.convolve(S[p], T[p])`` for every row
-    (exactly on the direct path, within ``1e-10`` on the FFT path — the
-    bound asserted by the batch equivalence suite).
-
-    Parameters
-    ----------
-    signals:
-        ``(P, L)`` batch of signals (real or complex).
-    taps:
-        ``(P, M)`` batch of FIR taps, or a single ``(M,)`` tap vector
-        shared by every row.
-    method:
-        ``"auto"`` (default), ``"direct"`` or ``"fft"``.  Short filters
-        are fastest as direct convolutions; long filters switch to one
-        batched FFT convolution over the whole matrix.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(P, L + M - 1)`` matrix in the promoted dtype of the inputs
-        (``complex128`` throughout the receive chain).
-    """
-    signals = np.asarray(signals)
-    taps = np.asarray(taps)
-    if signals.ndim != 2:
-        raise ShapeError(f"signals must be 2-D, got shape {signals.shape}")
-    if taps.ndim == 1:
-        taps = np.broadcast_to(taps, (signals.shape[0], len(taps)))
-    if taps.ndim != 2 or taps.shape[0] != signals.shape[0]:
-        raise ShapeError(
-            f"taps batch {taps.shape} does not match signals {signals.shape}"
-        )
-    if method not in ("auto", "direct", "fft"):
-        raise ShapeError(f"unknown method {method!r}")
-    num_rows, length = signals.shape
-    num_taps = taps.shape[1]
-    if method == "fft" or (method == "auto" and num_taps > 64):
-        return _signal.fftconvolve(signals, taps, mode="full", axes=1)
-    dtype = np.result_type(signals.dtype, taps.dtype)
-    out = np.empty((num_rows, length + num_taps - 1), dtype=dtype)
-    for row in range(num_rows):
-        out[row] = np.convolve(signals[row], taps[row])
-    return out
-
-
-def correlate_lags_batch(
-    a: np.ndarray, b: np.ndarray, num_lags: int
-) -> np.ndarray:
-    """Row-wise cross-correlation at non-negative lags ``0 .. num_lags-1``.
-
-    ``out[p, k] = sum_m a[p, m + k] * conj(b[p, m])`` — the leading slice
-    of the full cross-correlation that the LS normal equations need.
-    Computed as per-row direct correlations: at the paper's tap counts
-    (``num_lags`` ~ 11) a handful of long dot products per row beats any
-    FFT formulation.
-
-    Parameters
-    ----------
-    a, b:
-        ``(P, La)`` / ``(P, Lb)`` batches with matching row counts;
-        ``a`` is zero-padded/trimmed to ``Lb + num_lags - 1`` columns.
-    num_lags:
-        Number of non-negative lags to keep (the FIR order ``N``).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(P, num_lags)`` complex128 correlation matrix.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ShapeError(
-            f"correlate_lags_batch expects matching batches, got "
-            f"{a.shape} and {b.shape}"
-        )
-    if num_lags < 1:
-        raise ShapeError(f"num_lags must be >= 1, got {num_lags}")
-    num_rows = a.shape[0]
-    needed = b.shape[1] + num_lags - 1
-    if a.shape[1] != needed:
-        padded = np.zeros((num_rows, needed), dtype=a.dtype)
-        padded[:, : min(a.shape[1], needed)] = a[:, :needed]
-        a = padded
-    dtype = np.result_type(a.dtype, b.dtype, np.complex128)
-    out = np.empty((num_rows, num_lags), dtype=dtype)
-    for row in range(num_rows):
-        out[row] = np.correlate(a[row], b[row], mode="valid")
-    return out
-
-
 def cross_correlate_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """FFT-based full cross-correlation ``sum_m a[m + lag] * conj(b[m])``.
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import solve_toeplitz
 
 from ..errors import ShapeError
-from .convolution import convolution_matrix, convolve_batch
+from .convolution import convolution_matrix
 
 
 def equalizer_delay(num_taps_channel: int, num_taps_equalizer: int) -> int:
@@ -156,51 +156,4 @@ def equalize(
             )
         else:
             z = z[:output_length]
-    return z
-
-
-def equalize_batch(
-    y: np.ndarray,
-    equalizers: np.ndarray,
-    delay: int,
-    output_length: int | None = None,
-) -> np.ndarray:
-    """Row-wise :func:`equalize`: filter a ``(P, samples)`` batch.
-
-    Every row shares the same decision ``delay`` (the batch decode path
-    uses equal-length channel estimates, which fixes the delay).
-
-    Parameters
-    ----------
-    y:
-        ``(P, samples)`` received batch (complex).
-    equalizers:
-        ``(P, taps)`` per-row equalizers, or one shared ``(taps,)``
-        vector.
-    delay:
-        Decision delay stripped from every row (samples).
-    output_length:
-        Truncate/zero-pad each row to this length when given.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(P, output_length)`` (or ``(P, samples + taps - 1 - delay)``)
-        complex matrix; row ``p`` matches
-        ``equalize(y[p], equalizers[p], delay, output_length)`` within
-        ``1e-10`` (exact on the direct convolution path).
-    """
-    y = np.asarray(y)
-    equalizers = np.asarray(equalizers)
-    if y.ndim != 2:
-        raise ShapeError(f"y must be (P, samples), got shape {y.shape}")
-    z = convolve_batch(y, equalizers)[:, delay:]
-    if output_length is not None:
-        if z.shape[1] < output_length:
-            pad = np.zeros(
-                (z.shape[0], output_length - z.shape[1]), dtype=z.dtype
-            )
-            z = np.concatenate([z, pad], axis=1)
-        else:
-            z = z[:, :output_length]
     return z

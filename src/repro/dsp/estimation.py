@@ -26,7 +26,6 @@ from ..errors import ShapeError
 from .convolution import (
     autocorrelation,
     convolution_matrix,
-    correlate_lags_batch,
     cross_correlate_full,
 )
 
@@ -171,91 +170,3 @@ def valid_ls_operator(x: np.ndarray, num_taps: int) -> np.ndarray:
         )
     windows = sliding_window_view(x, num_taps)[:, ::-1]
     return np.linalg.pinv(windows)
-
-
-def ls_channel_estimate_batch(
-    x: np.ndarray,
-    y: np.ndarray,
-    num_taps: int,
-    mode: str = "full",
-    method: str = "auto",
-) -> np.ndarray:
-    """Batched least-squares FIR channel estimates (Eq. 4 over a packet set).
-
-    Parameters
-    ----------
-    x:
-        Known reference samples: ``(P, Lx)`` per-row references, or a
-        single ``(Lx,)`` reference shared by every row.
-    y:
-        ``(P, Ly)`` received rows aligned as in :func:`ls_channel_estimate`.
-    num_taps:
-        FIR model order ``N``.
-    mode:
-        ``"full"`` solves the per-row LS system; ``"valid"`` requires a
-        shared 1-D ``x`` and applies one cached pseudo-inverse of the
-        window matrix to every row.
-    method:
-        Mirrors :func:`ls_channel_estimate`: ``"auto"`` uses the dense
-        solve for short references and the Hermitian-Toeplitz normal
-        equations (shared-correlation batch path) for long ones, so
-        every row matches the scalar function's solver choice;
-        ``"direct"`` / ``"fft"`` force one of the two.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(P, num_taps)`` complex128 tap matrix, row ``p`` matching
-        ``ls_channel_estimate(x[p], y[p], num_taps, mode, method)``
-        within ``1e-10`` (the bound asserted by the batch equivalence
-        suite) — the batch path picks the same solver as the scalar
-        function for every row.
-    """
-    y = np.asarray(y, dtype=np.complex128)
-    if y.ndim != 2:
-        raise ShapeError(f"y must be (P, Ly), got shape {y.shape}")
-    if num_taps < 1:
-        raise ShapeError(f"num_taps must be >= 1, got {num_taps}")
-    x = np.asarray(x, dtype=np.complex128)
-
-    if mode == "valid":
-        if x.ndim != 1:
-            raise ShapeError("mode='valid' needs a shared 1-D reference")
-        if y.shape[1] < len(x):
-            raise ShapeError(
-                f"mode='valid' needs len(y) >= len(x) "
-                f"({y.shape[1]} < {len(x)})"
-            )
-        operator = valid_ls_operator(x, num_taps)
-        return y[:, num_taps - 1 : len(x)] @ operator.T
-
-    if mode != "full":
-        raise ShapeError(f"unknown mode {mode!r}; expected 'full' or 'valid'")
-
-    if x.ndim == 1:
-        x = np.broadcast_to(x, (y.shape[0], len(x)))
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ShapeError(
-            f"x batch {x.shape} does not match y batch {y.shape}"
-        )
-    if x.shape[1] < num_taps:
-        raise ShapeError(
-            f"reference too short: len(x)={x.shape[1]} < num_taps={num_taps}"
-        )
-    out = np.empty((y.shape[0], num_taps), dtype=np.complex128)
-    if method == "direct" or (
-        method == "auto" and x.shape[1] <= _DIRECT_SIZE_LIMIT
-    ):
-        # Short references: keep the scalar path's dense solver (the
-        # normal equations would square its conditioning).
-        target_length = x.shape[1] + num_taps - 1
-        for row in range(y.shape[0]):
-            out[row] = _ls_full_direct(
-                x[row], _pad_or_trim(y[row], target_length), num_taps
-            )
-        return out
-    autocorr = correlate_lags_batch(x, x, num_taps)
-    cross = correlate_lags_batch(y, x, num_taps)
-    for row in range(y.shape[0]):
-        out[row] = solve_ls_normal_equations(autocorr[row], cross[row])
-    return out

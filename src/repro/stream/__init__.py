@@ -42,9 +42,7 @@ from .capacity import (
 from .events import (
     STREAM_SEED_OFFSET,
     LinkTrace,
-    StreamEvent,
     build_link_traces,
-    merge_event_streams,
     stream_link_config,
 )
 from .policy import (
@@ -87,9 +85,7 @@ from .traffic import (
 __all__ = [
     "STREAM_SEED_OFFSET",
     "LinkTrace",
-    "StreamEvent",
     "build_link_traces",
-    "merge_event_streams",
     "stream_link_config",
     "TICKS_PER_SECOND",
     "EventScheduler",

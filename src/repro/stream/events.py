@@ -4,8 +4,9 @@ The batch campaign machinery (PRs 1-3) generates *sets* and scores them
 offline; the streaming subsystem replays a registered
 :class:`~repro.campaign.scenario.Scenario` as what a serving system
 would actually see: per link, a camera produces a depth frame every
-33.3 ms and the mote transmits a packet every 100 ms, and the merged
-system-wide event stream interleaves every link in time order.
+33.3 ms and the mote transmits a packet every 100 ms, and
+:func:`~repro.stream.scheduler.replay_scheduler` interleaves every
+link's events into one time-ordered stream.
 
 Each link walks its own human (or humans, for multi-walker scenarios)
 through the room: link ``l`` is one measurement take of a *derived*
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from ..config import SimulationConfig
 from ..dataset.generator import build_components, generate_measurement_set
@@ -43,33 +44,6 @@ STREAM_SEED_OFFSET = 100_003
 #: ``DatasetConfig`` requires >= 3 sets; small link counts still
 #: materialize this many (extra sets are cached but not replayed).
 _MIN_SETS = 3
-
-#: Event kinds, ordered: at equal timestamps a frame (rank 0) is
-#: delivered before a packet (rank 1) — the camera output is available
-#: to the transmit-time decision of the same instant.
-EVENT_FRAME = "frame"
-EVENT_PACKET = "packet"
-_KIND_RANK = {EVENT_FRAME: 0, EVENT_PACKET: 1}
-
-
-@dataclass(frozen=True)
-class StreamEvent:
-    """One timestamped occurrence on one link.
-
-    ``index`` is the frame index (``kind == "frame"``) or the packet
-    slot (``kind == "packet"``) within the link's trace.
-    """
-
-    time_s: float
-    kind: str
-    link: int
-    index: int
-
-    @property
-    def kind_rank(self) -> int:
-        """Sort rank of the event kind (frames before packets)."""
-        return _KIND_RANK[self.kind]
-
 
 @dataclass
 class LinkTrace:
@@ -160,44 +134,3 @@ def build_link_traces(
         for link in range(links)
     ]
 
-
-def merge_event_streams(
-    traces: Sequence[LinkTrace],
-) -> list[StreamEvent]:
-    """Merge every link's frames and packets into one time-ordered stream.
-
-    Ordering is total and deterministic: events order by ``(tick,
-    kind-rank, link, index)`` on the integer-tick grid of
-    :mod:`repro.stream.scheduler`, so at equal timestamps frames
-    precede packets and lower link ids precede higher ones.  Every
-    simulator run — regardless of how the traces were generated (serial
-    or ``workers=N``) — consumes the identical sequence, which is what
-    makes closed-loop metrics bit-identical across runs.
-
-    This materialized form exists for figures and tests; the simulator
-    itself drains the lazy heap scheduler directly and never builds the
-    dense list (``traces`` may be any iterable, including a generator —
-    it is normalized before the emptiness check).
-    """
-    from .scheduler import KIND_FRAME, replay_scheduler
-
-    traces = list(traces)
-    if not traces:
-        raise ConfigurationError("merge_event_streams needs link traces")
-    by_link = {trace.link: trace.measurement_set for trace in traces}
-    events: list[StreamEvent] = []
-    for event in replay_scheduler(traces):
-        measurement_set = by_link[event.link]
-        if event.kind == KIND_FRAME:
-            time_s = float(measurement_set.frame_times[event.index])
-        else:
-            time_s = float(measurement_set.packets[event.index].time_s)
-        events.append(
-            StreamEvent(
-                time_s=time_s,
-                kind=event.kind,
-                link=event.link,
-                index=event.index,
-            )
-        )
-    return events

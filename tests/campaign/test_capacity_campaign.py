@@ -7,13 +7,13 @@ report renders the SLA summary + capacity curve purely from persisted
 JSON (``run_on_partial`` — quarantined points are named, not fatal).
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.campaign import Campaign, CampaignContext, DatasetCache
 from repro.campaign.grid import AXIS_FIELDS, get_grid
-from repro.campaign.params import SCENARIO_PARAMETERS, spec_from_scenario
 from repro.campaign.runner import capacity_steps
 from repro.campaign.scenario import Scenario, get_scenario
 from repro.config import SimulationConfig
@@ -95,37 +95,32 @@ class TestGridWiring:
 
 class TestScenarioSchema:
     def test_traffic_and_qos_have_parameters(self):
-        names = [p.name for p in SCENARIO_PARAMETERS]
-        assert "traffic" in names and "qos" in names
+        declared = Scenario.__dataclass_fields__
+        assert declared["traffic"].metadata["help"]
+        assert declared["qos"].metadata["help"]
 
     def test_bad_traffic_fails_validation(self):
         with pytest.raises(ConfigurationError, match="traffic"):
-            spec_from_scenario(
-                Scenario(
-                    name="bad-traffic",
-                    description="x",
-                    base="tiny",
-                    traffic="warp:10",
-                )
-            ).validate()
+            Scenario(
+                name="bad-traffic",
+                description="x",
+                base="tiny",
+                traffic="warp:10",
+            )
 
     def test_bad_qos_fails_validation(self):
         with pytest.raises(ConfigurationError, match="qos"):
-            spec_from_scenario(
-                Scenario(
-                    name="bad-qos",
-                    description="x",
-                    base="tiny",
-                    qos="platinum",
-                )
-            ).validate()
+            Scenario(
+                name="bad-qos",
+                description="x",
+                base="tiny",
+                qos="platinum",
+            )
 
     def test_defaults_stay_out_of_resolve(self):
         # Stream-only fields: the dataset configuration (and with it
         # every cache key) must not depend on traffic/qos.
         base = get_scenario("stream-smoke")
-        import dataclasses
-
         variant = dataclasses.replace(
             base, name="qos-variant", traffic="mixed", qos="triple"
         )

@@ -1,7 +1,7 @@
-"""Seeded scenario fuzzing: every sampled spec validates and resolves.
+"""Seeded scenario fuzzing: every sampled scenario validates and resolves.
 
 Property-based coverage of the scenario language against the full
-PHY/vision/campaign stack: uniform draws from the declared parameter
+PHY/vision/campaign stack: uniform draws from the declared field
 ranges must (a) pass validation, (b) resolve to consistent
 ``SimulationConfig`` objects, (c) replay identically for one seed —
 in-process and across interpreter invocations — and (d) at tiny scale,
@@ -23,10 +23,7 @@ import numpy as np
 import pytest
 
 from repro.campaign.cache import config_fingerprint
-from repro.campaign.params import (
-    sample_scenario_specs,
-    sample_scenarios,
-)
+from repro.campaign.params import sample_scenarios
 from repro.dataset import build_components, generate_measurement_set
 from repro.errors import ConfigurationError
 
@@ -38,13 +35,12 @@ FUZZ_COUNT = int(os.environ.get("REPRO_FUZZ_COUNT", "200"))
 
 class TestSampledSpecsAreValid:
     def test_every_sampled_spec_validates_and_resolves(self):
-        specs = sample_scenario_specs(seed=1234, count=FUZZ_COUNT)
-        assert len(specs) == FUZZ_COUNT
+        scenarios = sample_scenarios(seed=1234, count=FUZZ_COUNT)
+        assert len(scenarios) == FUZZ_COUNT
         fingerprints = set()
-        for spec in specs:
-            report = spec.validate()
+        for scenario in scenarios:
+            report = scenario.validate()
             assert report.ok, report.errors
-            scenario = spec.to_scenario()
             config = scenario.resolve()  # dataclass validation runs
             fingerprints.add(config_fingerprint(config))
         # The sampler actually roams the space: the overwhelming
@@ -73,22 +69,22 @@ class TestSampledSpecsAreValid:
 
     def test_bad_sampler_arguments_rejected(self):
         with pytest.raises(ConfigurationError, match="scale"):
-            sample_scenario_specs(seed=1, count=1, scale="huge")
+            sample_scenarios(seed=1, count=1, scale="huge")
         with pytest.raises(ConfigurationError, match="count"):
-            sample_scenario_specs(seed=1, count=0)
+            sample_scenarios(seed=1, count=0)
 
 
 class TestDeterminism:
     def test_same_seed_same_specs_in_process(self):
-        first = sample_scenario_specs(seed=7, count=50)
-        second = sample_scenario_specs(seed=7, count=50)
+        first = sample_scenarios(seed=7, count=50)
+        second = sample_scenarios(seed=7, count=50)
         assert [s.canonical_json() for s in first] == [
             s.canonical_json() for s in second
         ]
 
     def test_different_seeds_differ(self):
-        a = sample_scenario_specs(seed=7, count=10)
-        b = sample_scenario_specs(seed=8, count=10)
+        a = sample_scenarios(seed=7, count=10)
+        b = sample_scenarios(seed=8, count=10)
         assert [s.canonical_json() for s in a] != [
             s.canonical_json() for s in b
         ]
@@ -99,13 +95,13 @@ class TestDeterminism:
         # canonical JSON for the same seed.
         local = [
             s.canonical_json()
-            for s in sample_scenario_specs(seed=7, count=20)
+            for s in sample_scenarios(seed=7, count=20)
         ]
         script = (
             "import json\n"
-            "from repro.campaign.params import sample_scenario_specs\n"
+            "from repro.campaign.params import sample_scenarios\n"
             "print(json.dumps([s.canonical_json() for s in "
-            "sample_scenario_specs(seed=7, count=20)]))\n"
+            "sample_scenarios(seed=7, count=20)]))\n"
         )
         output = subprocess.run(
             [sys.executable, "-c", script],

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
+from repro.campaign.cache import config_fingerprint
+from repro.campaign.cli import main
+from repro.campaign.params import load_scenario_file
 from repro.campaign.scenario import (
     ROOM_PRESETS,
     Scenario,
@@ -194,3 +200,59 @@ class TestCacheKeyRegression:
             if actual != pinned:
                 mismatched[name] = (pinned, actual)
         assert not mismatched, mismatched
+
+
+_EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+
+class TestScenarioLanguagePins:
+    """Outputs of the scenario language that refactors must not move."""
+
+    def test_sample_output_bytes(self, capsys):
+        argv = ["scenarios", "sample", "--seed", "7", "--count", "10"]
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        digest = hashlib.sha256(output.encode()).hexdigest()
+        assert digest == (
+            "46fb0bf2f3e68fd39e254facd653a1a767bd589f0e42429c78e27013d749e4e6"
+        )
+
+    @pytest.mark.parametrize(
+        "text, room, keys",
+        [
+            (
+                None,
+                "atrium",
+                {
+                    "atrium-stroll": "11708f866eda6fde",
+                    "atrium-commuters": "002319f51800bdc3",
+                },
+            ),
+            # Integer room sizes stay integers, and so keep their own
+            # cache keys: scenario and room values are never converted.
+            (
+                "width_m = 12\ndepth_m = 12\nheight_m = 6\n",
+                "atriumint",
+                {
+                    "atriumint-stroll": "856acddc11fbc9f8",
+                    "atriumint-commuters": "cb87a053e3aa0250",
+                },
+            ),
+        ],
+    )
+    def test_example_file_cache_keys(self, tmp_path, text, room, keys):
+        source = (_EXAMPLES / "scenarios.toml").read_text()
+        if text is not None:
+            source = source.replace(
+                "width_m = 12.0\ndepth_m = 12.0\nheight_m = 6.0\n", text
+            ).replace("atrium", room)
+        path = tmp_path / "scenarios.toml"
+        path.write_text(source)
+        try:
+            fingerprints = {
+                scenario.name: config_fingerprint(scenario.resolve())
+                for scenario in load_scenario_file(path, register=False)
+            }
+        finally:
+            ROOM_PRESETS.pop(room, None)
+        assert fingerprints == keys

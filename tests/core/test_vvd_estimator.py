@@ -1,9 +1,12 @@
 """Integration tests for the VVD estimator and the blockage extension."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core import BlockageDetector, VVDEstimator
+from repro.core.blockage import _pool_features, _sigmoid
 from repro.dataset import synthesize_received
 from repro.errors import NotFittedError
 from repro.estimation.base import PacketContext
@@ -110,3 +113,24 @@ class TestBlockageDetector:
     def test_unfitted_raises(self, tiny_dataset):
         with pytest.raises(NotFittedError):
             BlockageDetector().predict(tiny_dataset[0].frames[:1])
+
+    def test_sigmoid_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _sigmoid(np.array([-1000.0]))[0] == 0.0
+            assert _sigmoid(np.array([1000.0]))[0] == 1.0
+
+    def test_probabilities_match_the_plain_expression(
+        self, tiny_config, tiny_dataset
+    ):
+        detector = BlockageDetector(epochs=50).fit(
+            tiny_dataset[:2], tiny_config
+        )
+        frames = tiny_dataset[3].frames / tiny_config.camera.max_depth_m
+        logits = detector._standardize(
+            _pool_features(frames, detector.pool_factor)
+        ) @ detector.weights
+        expected = 1.0 / (1.0 + np.exp(-logits))
+        assert np.array_equal(detector.predict_proba(frames), expected)
+        grid = np.linspace(-700.0, 700.0, 2801)
+        assert np.array_equal(_sigmoid(grid), 1.0 / (1.0 + np.exp(-grid)))

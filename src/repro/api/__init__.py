@@ -36,14 +36,7 @@ from .errors import (
     exit_code_for,
     http_status_for,
 )
-from .facade import (
-    CampaignHandle,
-    RunOptions,
-    campaign_dir,
-    prepare,
-    run_campaign,
-    self_healing_lines,
-)
+from .facade import CampaignHandle, RunOptions, campaign_dir, prepare
 from .jobs import (
     JOB_KINDS,
     CampaignOutcome,
@@ -58,6 +51,7 @@ from .jobs import (
     TrainJob,
     job_from_dict,
 )
+from .kinds.common import self_healing_lines
 
 __all__ = [
     # job specs
@@ -76,7 +70,6 @@ __all__ = [
     "CampaignOutcome",
     # facade
     "prepare",
-    "run_campaign",
     "CampaignHandle",
     "RunOptions",
     "campaign_dir",

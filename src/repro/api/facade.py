@@ -8,9 +8,11 @@ handlers both call this module; neither owns orchestration logic, so a
 grid submitted over HTTP and the same grid run via ``repro grid``
 produce byte-identical ``results.json``/records/reports.
 
-The run summary of each kind (the cache-hit sentinels nightly CI greps
-for, the step counts, the SLA appendix) is assembled here, line for
-line identical to what the pre-facade CLI printed.
+Nothing here is specific to a kind: :func:`prepare` asks the spec for
+its campaign (:meth:`~repro.api.jobs.JobSpec.resolve`) and its steps,
+and :meth:`CampaignHandle.run` for its summary lines — the cache-hit
+sentinels nightly CI greps for, the step counts, the SLA appendix —
+each declared in the kind's module of :mod:`repro.api.kinds`.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ import json
 import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 from .. import faults
 from ..campaign.cache import DATASET_CACHE_SALT, DatasetCache
-from ..campaign.grid import format_axis_value, get_grid, grid_steps
 from ..campaign.manifest import (
     STATUS_DONE,
     STATUS_FAILED,
@@ -33,37 +34,14 @@ from ..campaign.manifest import (
     STATUS_RUNNING,
     CampaignManifest,
 )
-from ..campaign.models import MODEL_CACHE_SALT, ModelCheckpointRegistry
+from ..campaign.models import ModelCheckpointRegistry
+from ..campaign.params import check_fields, param
 from ..campaign.results import ResultsStore
-from ..campaign.runner import (
-    FIGURE_NAMES,
-    Campaign,
-    CampaignContext,
-    RetryPolicy,
-    capacity_steps,
-    figure_steps,
-    stream_steps,
-    sweep_steps,
-    train_steps,
-)
-from ..campaign.scenario import get_scenario
+from ..campaign.runner import Campaign, CampaignContext, RetryPolicy
 from ..errors import ConfigurationError, NotFoundError
 from ..obs import log, trace
 from .errors import EXIT_OK, EXIT_QUARANTINED
-from .jobs import (
-    CampaignOutcome,
-    CampaignStatus,
-    CapacityJob,
-    FigureJob,
-    GridJob,
-    JobSpec,
-    StepEvent,
-    StreamJob,
-    SweepJob,
-    TrainJob,
-    check_fields,
-    param,
-)
+from .jobs import CampaignOutcome, CampaignStatus, JobSpec, StepEvent
 
 
 def campaign_dir(
@@ -247,34 +225,6 @@ def validate_job_options(payload: dict | None) -> dict:
     return {name: resolved[name] for name in SERVICE_OPTIONS}
 
 
-def self_healing_lines(result, plan) -> list[str]:
-    """The retry/quarantine sentinel line of one campaign run.
-
-    Emitted whenever something actually self-healed — or whenever a
-    fault plan is armed, so chaos CI can grep the sentinels
-    unconditionally (a clean chaos run prints ``... 0 step(s)
-    quarantined``).
-    """
-    if plan is None and not result.retried and not result.quarantined:
-        return []
-    line = (
-        f"self-healing: {result.retried} step attempt(s) retried, "
-        f"{len(result.quarantined)} step(s) quarantined"
-    )
-    if result.quarantined:
-        line += ": " + ", ".join(result.quarantined)
-    return [line]
-
-
-def _steps_line(result, directory: Path) -> str:
-    """The ``steps: N executed, M resumed`` footer of one run."""
-    return (
-        f"\nsteps: {len(result.executed)} executed, "
-        f"{len(result.skipped)} resumed from manifest "
-        f"({directory / 'manifest.json'})"
-    )
-
-
 class CampaignHandle:
     """One prepared campaign: run it, poll it, read its artifacts.
 
@@ -291,19 +241,14 @@ class CampaignHandle:
         *,
         campaign: Campaign,
         context: CampaignContext,
-        cache: DatasetCache,
-        registry: ModelCheckpointRegistry | None,
-        stale_hook: Callable[[], None] | None,
-        summarize: Callable[..., list[str]],
     ) -> None:
         self.spec = spec
         self.campaign = campaign
         self.context = context
-        self.cache = cache
-        self.registry = registry
+        self.cache = context.cache
+        #: The model checkpoint registry, for the kinds that get one.
+        self.registry = context.checkpoints
         self.directory = context.directory
-        self._stale_hook = stale_hook
-        self._summarize = summarize
 
     @property
     def kind(self) -> str:
@@ -335,8 +280,12 @@ class CampaignHandle:
             raise ConfigurationError(
                 f"{self.kind} campaigns do not support fault injection"
             )
-        if self._stale_hook is not None and not options.fresh:
-            self._stale_hook()
+        if (
+            self.registry is not None
+            and self.spec.model_steps is not None
+            and not options.fresh
+        ):
+            self._reopen_stale_steps()
         plan = None
         traced = False
         if robust and options.faults is not None:
@@ -373,7 +322,7 @@ class CampaignHandle:
                 faults.deactivate()
             if traced:
                 trace.disarm()
-        lines = self._summarize(self, result, plan, options)
+        lines = self.spec.summary(self, result, plan, options)
         exit_code = EXIT_QUARANTINED if result.quarantined else EXIT_OK
         return CampaignOutcome(
             job_id=self.job_id,
@@ -384,6 +333,45 @@ class CampaignHandle:
             exit_code=exit_code,
             text="\n".join(lines),
         )
+
+    def _reopen_stale_steps(self) -> None:
+        """Re-open ``done`` model steps whose checkpoint has vanished.
+
+        The campaign manifest can outlive the model registry (a wiped or
+        different model dir); trusting it blindly would replay the stored
+        report and claim "100% checkpoint hits" over models that no longer
+        exist.  Any completed step under the spec's
+        :attr:`~repro.api.jobs.JobSpec.model_steps` prefix whose payload
+        is missing or unreadable, or whose
+        :meth:`~repro.api.jobs.JobSpec.model_key` is absent from the
+        registry, is marked ``pending`` again, along with the ``report``
+        step, so the run re-resolves it.
+        """
+        manifest = self.campaign.manifest
+        stale = []
+        for step in self.campaign.steps:
+            if not step.step_id.startswith(self.spec.model_steps):
+                continue
+            if manifest.status(step.step_id) != STATUS_DONE:
+                continue
+            try:
+                path = self.context.output_path(step.step_id)
+                key = self.spec.model_key(json.loads(path.read_text()))
+            except (OSError, ValueError, KeyError, TypeError, AttributeError):
+                stale.append(step.step_id)
+                continue
+            if key is not None and not self.registry.has_key(key):
+                stale.append(step.step_id)
+        if not stale:
+            return
+        for step_id in stale:
+            manifest.mark(step_id, STATUS_PENDING)
+        manifest.mark("report", STATUS_PENDING)
+        if self.context.verbose:
+            log.info(
+                f"{len(stale)} completed step(s) lost their checkpoint; "
+                "re-resolving"
+            )
 
     # -- observation ----------------------------------------------------
     def events(self) -> list[StepEvent]:
@@ -495,553 +483,6 @@ class CampaignHandle:
         return path.read_text()
 
 
-# -- per-kind builders ---------------------------------------------------
-def _train_key(payload: dict) -> str:
-    """The model key a ``train@`` step payload records."""
-    return payload["key"]
-
-
-def _grid_key(payload: dict) -> str | None:
-    """The VVD model key of a ``point@`` payload (None: no model)."""
-    return payload["record"].get("vvd", {}).get("key")
-
-
-def _invalidate_stale_steps(
-    campaign: Campaign,
-    context: CampaignContext,
-    registry: ModelCheckpointRegistry,
-    prefix: str,
-    model_key: Callable[[dict], str | None],
-) -> None:
-    """Re-open ``done`` model steps whose checkpoint has vanished.
-
-    The campaign manifest can outlive the model registry (a wiped or
-    different model dir); trusting it blindly would replay the stored
-    report and claim "100% checkpoint hits" over models that no longer
-    exist.  Any completed step under ``prefix`` (``train@``, or a grid's
-    ``point@``) whose payload is missing or unreadable, or whose
-    ``model_key`` is absent from the registry, is marked ``pending``
-    again, along with the ``report`` step, so the run re-resolves it.
-    """
-    stale = []
-    for step in campaign.steps:
-        if not step.step_id.startswith(prefix):
-            continue
-        if campaign.manifest.status(step.step_id) != STATUS_DONE:
-            continue
-        try:
-            path = context.output_path(step.step_id)
-            key = model_key(json.loads(path.read_text()))
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            stale.append(step.step_id)
-            continue
-        if key is not None and not registry.has_key(key):
-            stale.append(step.step_id)
-    if not stale:
-        return
-    for step_id in stale:
-        campaign.manifest.mark(step_id, STATUS_PENDING)
-    campaign.manifest.mark("report", STATUS_PENDING)
-    if context.verbose:
-        log.info(
-            f"{len(stale)} completed step(s) lost their checkpoint; "
-            "re-resolving"
-        )
-
-
-def _summarize_sweep(handle, result, plan, options) -> list[str]:
-    """The run summary of a sweep campaign (CLI-identical)."""
-    lines = [
-        handle.context.read_output("report"),
-        _steps_line(result, handle.directory),
-    ]
-    lines += self_healing_lines(result, plan)
-    lines.append(f"cache: {handle.cache.stats.summary()}")
-    if handle.cache.stats.sets_generated == 0:
-        lines.append(
-            "no measurement sets regenerated (100% cache hits)"
-        )
-    return lines
-
-
-def _build_sweep(spec: SweepJob, env: HostOptions) -> CampaignHandle:
-    scenario = get_scenario(spec.scenario)
-    config = scenario.resolve()
-    snrs = tuple(spec.snrs) if spec.snrs else scenario.snr_grid_db
-    cache = env.cache()
-    options = {
-        "snrs_db": sorted(float(s) for s in snrs),
-        "num_sets": spec.num_sets,
-        "suite": spec.suite,
-    }
-    directory = campaign_dir(cache, "sweep", scenario.name, options)
-    campaign = Campaign(
-        f"sweep[{scenario.name}]",
-        sweep_steps(
-            config, snrs, num_sets=spec.num_sets, suite=spec.suite
-        ),
-        directory,
-    )
-    context = CampaignContext(
-        config,
-        cache,
-        directory,
-        workers=env.workers,
-        verbose=env.verbose,
-    )
-    return CampaignHandle(
-        spec,
-        campaign=campaign,
-        context=context,
-        cache=cache,
-        registry=None,
-        stale_hook=None,
-        summarize=_summarize_sweep,
-    )
-
-
-def _summarize_train(handle, result, plan, options) -> list[str]:
-    """The run summary of a train campaign (CLI-identical)."""
-    lines = [
-        handle.context.read_output("report"),
-        _steps_line(result, handle.directory),
-    ]
-    lines += self_healing_lines(result, plan)
-    lines.append(f"cache: {handle.cache.stats.summary()}")
-    lines.append(f"models: {handle.registry.stats.summary()}")
-    if handle.registry.stats.models_trained == 0:
-        lines.append("no models retrained (100% checkpoint hits)")
-    return lines
-
-
-def _build_train(spec: TrainJob, env: HostOptions) -> CampaignHandle:
-    scenario = get_scenario(spec.scenario)
-    config = scenario.resolve()
-    cache = env.cache()
-    registry = env.registry()
-    horizons = sorted(set(spec.horizons))
-    options = {
-        "combinations": spec.combinations,
-        "horizons": horizons,
-        "seed": spec.seed,
-        "model_salt": MODEL_CACHE_SALT,
-    }
-    directory = campaign_dir(cache, "train", scenario.name, options)
-    campaign = Campaign(
-        f"train[{scenario.name}]",
-        train_steps(
-            config,
-            num_combinations=spec.combinations,
-            horizons=horizons,
-            seed=spec.seed,
-        ),
-        directory,
-    )
-    context = CampaignContext(
-        config,
-        cache,
-        directory,
-        workers=env.workers,
-        verbose=env.verbose,
-        checkpoints=registry,
-    )
-    return CampaignHandle(
-        spec,
-        campaign=campaign,
-        context=context,
-        cache=cache,
-        registry=registry,
-        stale_hook=lambda: _invalidate_stale_steps(
-            campaign, context, registry, "train@", _train_key
-        ),
-        summarize=_summarize_train,
-    )
-
-
-def _summarize_figure(handle, result, plan, options) -> list[str]:
-    """The run summary of a figure campaign (CLI-identical)."""
-    lines = []
-    for name in handle.context.options["figures"]:
-        lines.append(handle.context.read_output(f"figure:{name}"))
-        lines.append("")
-    lines.append(
-        f"steps: {len(result.executed)} executed, "
-        f"{len(result.skipped)} resumed; "
-        f"cache: {handle.cache.stats.summary()}"
-    )
-    return lines
-
-
-def _build_figure(spec: FigureJob, env: HostOptions) -> CampaignHandle:
-    scenario = get_scenario(spec.scenario)
-    config = scenario.resolve()
-    # The spec admits only known names; "all" expands in place.
-    names = list(
-        dict.fromkeys(
-            figure
-            for name in spec.names
-            for figure in (FIGURE_NAMES if name == "all" else (name,))
-        )
-    )
-    cache = env.cache()
-    options = {
-        "figures": names,
-        "combinations": spec.combinations,
-        "vvd_seed": spec.seed,
-    }
-    directory = campaign_dir(cache, "figure", scenario.name, options)
-    campaign = Campaign(
-        f"figure[{scenario.name}]",
-        figure_steps(config, names),
-        directory,
-    )
-    context = CampaignContext(
-        config,
-        cache,
-        directory,
-        workers=env.workers,
-        verbose=env.verbose,
-        options={
-            "figures": names,
-            "combinations": spec.combinations,
-            "vvd_seed": spec.seed,
-        },
-        checkpoints=env.registry(),
-    )
-    return CampaignHandle(
-        spec,
-        campaign=campaign,
-        context=context,
-        cache=cache,
-        registry=context.checkpoints,
-        stale_hook=None,
-        summarize=_summarize_figure,
-    )
-
-
-def _summarize_stream(handle, result, plan, options) -> list[str]:
-    """The run summary of a stream campaign (CLI-identical)."""
-    spec = handle.spec
-    meta = handle.context.options
-    lines = [handle.context.read_output("report")]
-    # Non-default traffic/QoS append the modeled per-class SLA summary
-    # at the replayed link count (pure queueing simulation, in-process,
-    # deterministic — see the capacity kind for the full sweep).
-    traffic = handle._stream_traffic
-    qos = handle._stream_qos
-    if traffic != "periodic" or qos != "uniform":
-        from ..stream.capacity import simulate_capacity
-
-        modeled = simulate_capacity(
-            meta["links"], traffic=traffic, qos=qos, seed=spec.seed
-        )
-        lines.append("")
-        lines.append(modeled.sla_summary())
-    service = handle.context.shared.get(
-        f"stream-service:{spec.horizon}:{spec.seed}"
-    )
-    # Under jobs > 1 the policy simulations serve their predictions in
-    # pool workers, so the parent service's counters stay zero — print
-    # the wall-clock stats only when this process served.
-    if service is not None and service.stats.predictions > 0:
-        lines.append(f"\nservice: {service.stats.summary()}")
-    lines.append(_steps_line(result, handle.directory))
-    lines += self_healing_lines(result, plan)
-    lines.append(f"cache: {handle.cache.stats.summary()}")
-    needs_service = meta["model_salt"] is not None
-    if needs_service:
-        lines.append(f"models: {handle.registry.stats.summary()}")
-    # Under jobs > 1 the stream@<policy> steps run in pool workers
-    # whose private cache/registry instances are invisible to the
-    # parent's counters, so a worker that (pathologically — e.g. after
-    # a mid-campaign `repro cache clear`) regenerated data would not
-    # show up here.  Claim the replay-purity sentinels only when no
-    # simulation step executed out of process; repeat runs execute
-    # nothing and keep printing them.
-    workers_simulated = options.jobs > 1 and any(
-        step_id.startswith("stream@") for step_id in result.executed
-    )
-    if handle.cache.stats.sets_generated == 0 and not workers_simulated:
-        lines.append(
-            "no measurement sets regenerated (100% cache hits)"
-        )
-    if (
-        needs_service
-        and handle.registry.stats.models_trained == 0
-        and not workers_simulated
-    ):
-        lines.append("no models retrained (100% checkpoint hits)")
-    return lines
-
-
-def _build_stream(spec: StreamJob, env: HostOptions) -> CampaignHandle:
-    from ..stream.policy import build_policy
-    from ..stream.traffic import get_qos_mix, validate_traffic
-
-    scenario = get_scenario(spec.scenario)
-    config = scenario.resolve()
-    policies = list(dict.fromkeys(spec.policies))
-    links = spec.links if spec.links is not None else scenario.stream_links
-    # Heterogeneous-traffic options resolve spec > scenario and are
-    # validated before any dataset generation or training runs.  They
-    # drive only the modeled SLA appendix printed after the replay
-    # report — never the replay steps themselves — so they are
-    # deliberately NOT part of the campaign-directory hash: existing
-    # stream campaign directories (and their byte-identical payloads)
-    # stay untouched.
-    traffic = validate_traffic(
-        spec.traffic if spec.traffic is not None else scenario.traffic
-    )
-    qos = spec.qos if spec.qos is not None else scenario.qos
-    get_qos_mix(qos)
-    # Probe-build every requested policy with its actual arguments so a
-    # bad defer threshold fails here, before any dataset generation or
-    # model training runs.
-    needs_service = any(
-        build_policy(
-            name,
-            **(
-                {"defer_threshold": spec.defer_threshold}
-                if name == "proactive"
-                and spec.defer_threshold is not None
-                else {}
-            ),
-        ).uses_predictions
-        for name in policies
-    )
-    cache = env.cache()
-    registry = env.registry()
-    options = {
-        "links": links,
-        "slots": spec.slots,
-        "policies": policies,
-        "deadline_slots": spec.deadline_slots,
-        "horizon": spec.horizon,
-        "seed": spec.seed,
-        "defer_threshold": spec.defer_threshold,
-        "round_deadline_s": spec.round_deadline,
-        "model_salt": MODEL_CACHE_SALT if needs_service else None,
-    }
-    directory = campaign_dir(cache, "stream", scenario.name, options)
-    campaign = Campaign(
-        f"stream[{scenario.name}]",
-        stream_steps(
-            config,
-            links,
-            policies,
-            slots=spec.slots,
-            deadline_slots=spec.deadline_slots,
-            horizon=spec.horizon,
-            seed=spec.seed,
-            defer_threshold=spec.defer_threshold,
-            round_deadline_s=spec.round_deadline,
-        ),
-        directory,
-    )
-    context = CampaignContext(
-        config,
-        cache,
-        directory,
-        workers=env.workers,
-        verbose=env.verbose,
-        options=options,
-        checkpoints=registry,
-    )
-    handle = CampaignHandle(
-        spec,
-        campaign=campaign,
-        context=context,
-        cache=cache,
-        registry=registry,
-        stale_hook=(
-            (
-                lambda: _invalidate_stale_steps(
-                    campaign, context, registry, "train@", _train_key
-                )
-            )
-            if needs_service
-            else None
-        ),
-        summarize=_summarize_stream,
-    )
-    handle._stream_traffic = traffic
-    handle._stream_qos = qos
-    return handle
-
-
-def _summarize_capacity(handle, result, plan, options) -> list[str]:
-    """The run summary of a capacity campaign (CLI-identical)."""
-    lines = [
-        handle.context.read_output("report"),
-        _steps_line(result, handle.directory),
-    ]
-    lines += self_healing_lines(result, plan)
-    link_counts = handle.context.options["links"]
-    lines.append(
-        f"capacity: {len(link_counts)} modeled point(s) over "
-        f"{options.jobs} job(s); no datasets or checkpoints touched"
-    )
-    return lines
-
-
-def _build_capacity(spec: CapacityJob, env: HostOptions) -> CampaignHandle:
-    from ..stream.traffic import get_qos_mix, validate_traffic
-
-    traffic = validate_traffic(spec.traffic)
-    get_qos_mix(spec.qos)
-    link_counts = sorted(set(spec.links))
-    cache = env.cache()
-    options = {
-        "links": link_counts,
-        "duration_s": spec.duration,
-        "traffic": traffic,
-        "qos": spec.qos,
-        "seed": spec.seed,
-        "service_pps": spec.service_pps,
-        "admission_limit": spec.admission_limit,
-    }
-    directory = campaign_dir(cache, "capacity", spec.qos, options)
-    campaign = Campaign(
-        f"capacity[{traffic}/{spec.qos}]",
-        capacity_steps(
-            link_counts,
-            duration_s=spec.duration,
-            traffic=traffic,
-            qos=spec.qos,
-            seed=spec.seed,
-            service_pps=spec.service_pps,
-            admission_limit=spec.admission_limit,
-        ),
-        directory,
-    )
-    # Capacity points are pure queueing simulations — the context's
-    # scenario config is never consulted, but CampaignContext wants
-    # one; the stream smoke preset resolves without touching the cache.
-    context = CampaignContext(
-        get_scenario("stream-smoke").resolve(),
-        cache,
-        directory,
-        workers=env.workers,
-        verbose=env.verbose,
-        options=options,
-    )
-    return CampaignHandle(
-        spec,
-        campaign=campaign,
-        context=context,
-        cache=cache,
-        registry=None,
-        stale_hook=None,
-        summarize=_summarize_capacity,
-    )
-
-
-def _summarize_grid(handle, result, plan, options) -> list[str]:
-    """The run summary of a grid campaign (CLI-identical)."""
-    lines = [handle.context.read_output("report")]
-    sets_generated = 0
-    models_trained = 0
-    for step_id in result.executed:
-        if not step_id.startswith("point@"):
-            continue
-        provenance = json.loads(
-            handle.context.read_output(step_id)
-        ).get("provenance", {})
-        sets_generated += provenance.get("sets_generated", 0)
-        models_trained += provenance.get("models_trained", 0)
-    lines.append(_steps_line(result, handle.directory))
-    lines += self_healing_lines(result, plan)
-    num_points = handle._grid_num_points
-    lines.append(
-        f"grid: {num_points} derived scenario(s) over {options.jobs} "
-        f"job(s); aggregate at "
-        f"{handle.directory / 'results' / 'results.json'}"
-    )
-    lines.append(
-        f"cache: {sets_generated} set(s) generated, "
-        f"{models_trained} model(s) trained (summed over executed steps)"
-    )
-    if sets_generated == 0:
-        lines.append(
-            "no measurement sets regenerated (100% cache hits)"
-        )
-    needs_models = handle.context.options["model_salt"] is not None
-    if needs_models and models_trained == 0:
-        lines.append("no models retrained (100% checkpoint hits)")
-    return lines
-
-
-def _build_grid(spec: GridJob, env: HostOptions) -> CampaignHandle:
-    grid_spec = get_grid(spec.grid)
-    points = grid_spec.expand()
-    needs_models = spec.vvd or "horizon" in grid_spec.axis_names
-    cache = env.cache()
-    registry = env.registry() if needs_models else None
-    options = {
-        "axes": [
-            [axis, [format_axis_value(v) for v in values]]
-            for axis, values in grid_spec.axes
-        ],
-        "base": grid_spec.base,
-        "suite": spec.suite,
-        "vvd": spec.vvd,
-        "horizon": spec.horizon if spec.vvd else None,
-        "vvd_seed": spec.seed,
-        "model_salt": MODEL_CACHE_SALT if needs_models else None,
-    }
-    directory = campaign_dir(cache, "grid", grid_spec.name, options)
-    campaign = Campaign(
-        f"grid[{grid_spec.name}]",
-        grid_steps(
-            grid_spec,
-            points,
-            suite=spec.suite,
-            vvd=spec.vvd,
-            horizon=spec.horizon,
-            vvd_seed=spec.seed,
-        ),
-        directory,
-    )
-    context = CampaignContext(
-        get_scenario(grid_spec.base).resolve(),
-        cache,
-        directory,
-        workers=env.workers,
-        verbose=env.verbose,
-        options=options,
-        checkpoints=registry,
-    )
-    handle = CampaignHandle(
-        spec,
-        campaign=campaign,
-        context=context,
-        cache=cache,
-        registry=registry,
-        stale_hook=(
-            (
-                lambda: _invalidate_stale_steps(
-                    campaign, context, registry, "point@", _grid_key
-                )
-            )
-            if needs_models
-            else None
-        ),
-        summarize=_summarize_grid,
-    )
-    handle._grid_num_points = len(points)
-    return handle
-
-
-_BUILDERS: dict[str, Callable] = {
-    "sweep": _build_sweep,
-    "train": _build_train,
-    "figure": _build_figure,
-    "stream": _build_stream,
-    "capacity": _build_capacity,
-    "grid": _build_grid,
-}
-
-
 def prepare(
     spec: JobSpec,
     *,
@@ -1056,36 +497,27 @@ def prepare(
     grids or figures raise :class:`~repro.errors.NotFoundError`) but
     executes nothing: the campaign directory is computed, not created.
     """
-    builder = _BUILDERS.get(spec.kind)
-    if builder is None:
-        raise ConfigurationError(
-            f"unknown job kind {spec.kind!r}; accepted: "
-            f"{', '.join(sorted(_BUILDERS))}"
-        )
     env = HostOptions(
         cache_dir=cache_dir,
         model_dir=model_dir,
         workers=workers,
         verbose=verbose,
     )
-    return builder(spec, env)
-
-
-def run_campaign(
-    spec: JobSpec,
-    *,
-    cache_dir: str | None = None,
-    model_dir: str | None = None,
-    workers: int | None = None,
-    verbose: bool = False,
-    options: RunOptions | None = None,
-) -> CampaignOutcome:
-    """Prepare and run a campaign in one call (blocking)."""
-    handle = prepare(
-        spec,
-        cache_dir=cache_dir,
-        model_dir=model_dir,
-        workers=workers,
-        verbose=verbose,
+    target = spec.resolve()
+    cache = env.cache()
+    directory = campaign_dir(cache, spec.kind, target.name, target.options)
+    context = CampaignContext(
+        target.config,
+        cache,
+        directory,
+        workers=env.workers,
+        verbose=env.verbose,
+        options=target.options,
+        checkpoints=env.registry() if target.models else None,
     )
-    return handle.run(options)
+    campaign = Campaign(
+        f"{spec.kind}[{target.title or target.name}]",
+        spec.steps(target.config),
+        directory,
+    )
+    return CampaignHandle(spec, campaign=campaign, context=context)

@@ -6,6 +6,14 @@ seeds — and is the same object whether it arrives from an argparse
 namespace, a notebook or a ``POST /v1/jobs`` body; the facade
 (:func:`repro.api.prepare`) turns it into a runnable campaign.
 
+Each kind is declared once, in its module of :mod:`repro.api.kinds`:
+its spec's fields, its step builder, its stale-step rule and its run
+summary.  This module holds what the kinds share — the
+:class:`JobSpec` base class, which states the hooks every kind
+implements, and :data:`JOB_KINDS`, the one registry of kinds that
+:func:`~repro.api.prepare`, ``build_parser`` and :func:`job_from_dict`
+read — plus the status and outcome records of a run.
+
 Each field is declared once, on its dataclass: the annotation gives
 its type (element types included, e.g. ``tuple[float, ...] | None``),
 the default its default, and its :func:`~repro.campaign.params.param`
@@ -27,19 +35,34 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
-from ..campaign.params import check_fields, param
-from ..errors import ConfigurationError, NotFoundError
+from ..campaign.params import check_fields
+from ..config import SimulationConfig
+from ..errors import ConfigurationError
 
-#: kind name -> spec class; populated by :func:`_register`.
+#: kind name -> spec class, in ``repro --help`` order; filled by
+#: :func:`register` as :mod:`repro.api.kinds` imports each kind.
 JOB_KINDS: dict[str, type] = {}
 
+#: Entry-count bounds of a list field that needs at least one entry.
+NON_EMPTY = (1, 1024)
 
-def _register(cls):
+#: Help text of the ``scenario`` field of the kinds that run one preset.
+SCENARIO_HELP = "scenario preset name"
+
+
+def register(cls):
     """Class decorator adding a spec to the :data:`JOB_KINDS` registry."""
     JOB_KINDS[cls.kind] = cls
     return cls
+
+
+def suites() -> list[str]:
+    """The estimator line-ups a sweep or grid evaluates per point."""
+    from ..experiments.suite import SUITE_BUILDERS
+
+    return sorted(SUITE_BUILDERS)
 
 
 def _canonical(data: dict) -> str:
@@ -47,11 +70,29 @@ def _canonical(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+class Target(NamedTuple):
+    """The campaign a spec names, as :meth:`JobSpec.resolve` returns it."""
+
+    #: Name hashed into the campaign directory (scenario, grid, QoS mix).
+    name: str
+    #: The configuration the steps read as ``ctx.config``.
+    config: SimulationConfig
+    #: Options hashed into the campaign directory; also ``ctx.options``.
+    options: dict
+    #: Whether the campaign context gets the model checkpoint registry.
+    models: bool = False
+    #: The campaign's title, ``<kind>[<title>]`` (default: ``name``).
+    title: str | None = None
+
+
 @dataclass(frozen=True)
 class JobSpec:
-    """Base class of all job specs: validation and JSON round-trip.
+    """Base class of all job specs: validation, JSON and the kind hooks.
 
-    The class docstring's first line is the subcommand's help.
+    The class docstring's first line is the subcommand's help.  A kind
+    implements :meth:`resolve`, :meth:`steps` and :meth:`summary`, and
+    states its stale-step rule in :attr:`model_steps` and
+    :meth:`model_key`.
     """
 
     kind: ClassVar[str] = ""
@@ -62,9 +103,40 @@ class JobSpec:
     #: ``robustness`` (``--retries``/``--step-timeout``/
     #: ``--no-quarantine``/``--faults``) and ``model_dir``.
     takes: ClassVar[frozenset[str]] = frozenset()
+    #: Id prefix of the steps whose payload names a model checkpoint.
+    #: A resumed run re-opens such a ``done`` step, and the report,
+    #: when its checkpoint is gone from the registry (``None``: the
+    #: kind has no such steps).
+    model_steps: ClassVar[str | None] = None
 
     def __post_init__(self):
         check_fields(self, f"{self.kind} job field")
+
+    def resolve(self) -> Target:
+        """Look up the named scenario or grid; validate what fields can't.
+
+        Raises :class:`~repro.errors.NotFoundError` for unknown names.
+        """
+        raise NotImplementedError
+
+    def steps(self, config: SimulationConfig) -> list:
+        """The campaign's step DAG over the resolved ``config``."""
+        raise NotImplementedError
+
+    def summary(self, handle, result, plan, options) -> list[str]:
+        """The lines a run prints: the CLI summary, byte for byte.
+
+        ``handle`` is the prepared :class:`~repro.api.CampaignHandle`,
+        ``result`` the run's :class:`~repro.campaign.CampaignResult`,
+        ``plan`` the armed fault plan (or ``None``) and ``options`` the
+        run's :class:`~repro.api.RunOptions`.
+        """
+        raise NotImplementedError
+
+    @staticmethod
+    def model_key(payload: dict) -> str | None:
+        """The checkpoint key a :attr:`model_steps` payload records."""
+        return payload["key"]
 
     def to_dict(self) -> dict:
         """Plain-data form, including the ``kind`` discriminator."""
@@ -89,245 +161,6 @@ class JobSpec:
                 f"{', '.join(unknown)}; accepted: {', '.join(sorted(known))}"
             )
         return cls(**payload)
-
-
-def _suites() -> list[str]:
-    from ..experiments.suite import SUITE_BUILDERS
-
-    return sorted(SUITE_BUILDERS)
-
-
-def _policies() -> list[str]:
-    from ..stream.policy import POLICY_BUILDERS
-
-    return sorted(POLICY_BUILDERS)
-
-
-def _figures() -> tuple[str, ...]:
-    from ..campaign.runner import FIGURE_NAMES
-
-    return FIGURE_NAMES + ("all",)
-
-
-_SCENARIO_HELP = "scenario preset name"
-
-
-@_register
-@dataclass(frozen=True)
-class SweepJob(JobSpec):
-    """Run the resumable SNR-sweep campaign of a scenario."""
-
-    kind: ClassVar[str] = "sweep"
-    takes: ClassVar[frozenset[str]] = frozenset({"robustness"})
-    scenario: str = param("reduced", _SCENARIO_HELP)
-    snrs: tuple[float, ...] | None = param(
-        None, "SNR grid in dB (default: the scenario's grid)"
-    )
-    num_sets: int | None = param(
-        None, "limit the measurement sets per point"
-    )
-    suite: str = param(
-        "baseline",
-        "estimator line-up evaluated per point",
-        choices=_suites,
-    )
-
-
-@_register
-@dataclass(frozen=True)
-class TrainJob(JobSpec):
-    """Train every Table 2 VVD variant through the checkpoint registry."""
-
-    kind: ClassVar[str] = "train"
-    takes: ClassVar[frozenset[str]] = frozenset({"robustness", "model_dir"})
-    scenario: str = param("reduced", _SCENARIO_HELP)
-    combinations: int | None = param(
-        None, "limit the Table 2 combinations trained (default: all)"
-    )
-    horizons: tuple[int, ...] = param(
-        (0,),
-        "prediction horizons in camera frames (0 = VVD-Current; "
-        "'0 1 3' pre-trains every Fig. 11 variant)",
-    )
-    seed: int = param(7, "weight-init / shuffle seed of every variant")
-
-
-@_register
-@dataclass(frozen=True)
-class FigureJob(JobSpec):
-    """Render paper tables/figures from the cached evaluation bundle."""
-
-    kind: ClassVar[str] = "figure"
-    takes: ClassVar[frozenset[str]] = frozenset({"model_dir"})
-    names: tuple[str, ...] = param(
-        (),
-        "figures/tables to render ('all' = the full report)",
-        choices=_figures,
-        unknown=NotFoundError,
-        positional=True,
-    )
-    scenario: str = param("reduced", _SCENARIO_HELP)
-    combinations: int = param(
-        3, "Table 2 combinations evaluated (15 = full)"
-    )
-    seed: int = param(
-        7,
-        "VVD training seed; match the `repro train --seed` that warmed "
-        "the model registry so figures retrain nothing",
-    )
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.names:
-            raise ConfigurationError(
-                "figure job needs at least one figure name "
-                "('all' = the full report)"
-            )
-
-
-@_register
-@dataclass(frozen=True)
-class StreamJob(JobSpec):
-    """Run closed-loop link adaptation over N concurrent links."""
-
-    kind: ClassVar[str] = "stream"
-    takes: ClassVar[frozenset[str]] = frozenset(
-        {"jobs", "robustness", "model_dir"}
-    )
-    scenario: str = param("stream-smoke", _SCENARIO_HELP)
-    links: int | None = param(
-        None,
-        "concurrent links replayed (default: the scenario's "
-        "stream_links)",
-    )
-    slots: int | None = param(
-        None,
-        "packet slots per link (default: the scenario's packets-per-set)",
-    )
-    policies: tuple[str, ...] = param(
-        ("proactive", "reactive"),
-        "link-adaptation policies simulated (each gets its own pass "
-        "over the same event stream)",
-        choices=_policies,
-    )
-    deadline_slots: int = param(
-        3, "slots a packet may wait before it counts as a deadline miss"
-    )
-    horizon: int = param(
-        0,
-        "prediction horizon in camera frames of the serving model "
-        "(compensates camera->decision latency)",
-    )
-    seed: int = param(
-        7,
-        "serving-model training seed; match `repro train --seed` to "
-        "reuse its checkpoints",
-    )
-    defer_threshold: float | None = param(
-        None,
-        "proactive blockage-probability defer threshold (default: the "
-        "policy's 0.9; 1.0 disables deferral)",
-    )
-    round_deadline: float | None = param(
-        None,
-        "wall-time budget in seconds of one micro-batched prediction "
-        "round; an overrunning or failing round degrades to the "
-        "reactive fallback for that slot instead of aborting",
-    )
-    traffic: str | None = param(
-        None,
-        "arrival-process spec for the modeled SLA appendix "
-        "(periodic[:pps], poisson:pps, onoff:pps:on_s:off_s, "
-        "diurnal:pps:period_s:depth, or 'mixed'; default: the "
-        "scenario's traffic, usually 'periodic' = replay only)",
-    )
-    qos: str | None = param(
-        None,
-        "QoS class mix of the modeled SLA appendix ('uniform' or "
-        "'triple'; default: the scenario's qos)",
-    )
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.policies:
-            raise ConfigurationError("stream job needs at least one policy")
-
-
-@_register
-@dataclass(frozen=True)
-class CapacityJob(JobSpec):
-    """Sweep a modeled serving fleet over link counts (pure queueing)."""
-
-    kind: ClassVar[str] = "capacity"
-    takes: ClassVar[frozenset[str]] = frozenset({"jobs", "robustness"})
-    links: tuple[int, ...] = param(
-        (16, 32, 64, 96, 128),
-        "link counts swept (one modeled capacity point each)",
-    )
-    duration: float = param(
-        30.0, "simulated horizon in seconds per point"
-    )
-    traffic: str = param(
-        "mixed",
-        "per-link arrival-process spec (periodic[:pps], poisson:pps, "
-        "onoff:pps:on_s:off_s, diurnal:pps:period_s:depth or 'mixed' = "
-        "rotate all four across links)",
-    )
-    qos: str = param(
-        "triple",
-        "QoS class mix ('uniform' or 'triple' = gold/silver/bronze "
-        "deadlines)",
-    )
-    seed: int = param(
-        7,
-        "arrival-process / class-assignment seed (same seed, "
-        "byte-identical payloads — across --jobs and machines)",
-    )
-    service_pps: float = param(
-        900.0, "modeled prediction-backend throughput in predictions/s"
-    )
-    admission_limit: int = param(
-        512,
-        "admission-controlled queue depth; arrivals beyond it shed the "
-        "youngest lower-priority request (or themselves)",
-    )
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.links:
-            raise ConfigurationError(
-                "capacity job needs at least one link count"
-            )
-
-
-@_register
-@dataclass(frozen=True)
-class GridJob(JobSpec):
-    """Expand a parametric scenario grid and evaluate every member."""
-
-    kind: ClassVar[str] = "grid"
-    takes: ClassVar[frozenset[str]] = frozenset(
-        {"jobs", "robustness", "model_dir"}
-    )
-    grid: str = param("smoke-grid", "grid spec name (see list-scenarios)")
-    suite: str = param(
-        "quick",
-        "estimator line-up evaluated per derived scenario",
-        choices=_suites,
-    )
-    vvd: bool = param(
-        False,
-        "resolve a VVD model per grid point through the model "
-        "checkpoint registry (implied by a 'horizon' grid axis)",
-    )
-    horizon: int = param(
-        0,
-        "VVD prediction horizon used with --vvd (a 'horizon' grid axis "
-        "overrides it per member)",
-    )
-    seed: int = param(
-        7, "VVD training seed of --vvd / horizon-axis members"
-    )
 
 
 def job_from_dict(data: dict) -> JobSpec:
@@ -426,3 +259,15 @@ class CampaignOutcome:
     def to_json(self) -> str:
         """Canonical JSON form of the outcome."""
         return _canonical(self.to_dict())
+
+
+# The kind modules subclass JobSpec and register themselves; importing
+# them here fills JOB_KINDS for every reader of this module.
+from .kinds import (  # noqa: E402,F401
+    CapacityJob,
+    FigureJob,
+    GridJob,
+    StreamJob,
+    SweepJob,
+    TrainJob,
+)

@@ -27,9 +27,10 @@ restartable system (see docs/ARCHITECTURE.md):
   :class:`ResultsStore` (records keyed by grid coordinates).
 - :mod:`repro.campaign.locking` — the cross-process :class:`FileLock`
   guarding index mutation under the parallel executor.
-- :mod:`repro.campaign.runner` — campaign DAG execution (one
-  topological-wavefront executor for every ``--jobs`` value) and the
-  sweep / figure / train / stream step builders.
+- :mod:`repro.campaign.runner` — campaign DAG execution: one
+  topological-wavefront executor for every ``--jobs`` value.  The steps
+  of each campaign kind are declared with the kind, in
+  :mod:`repro.api.kinds`.
 - :mod:`repro.campaign.cli` — the ``repro`` / ``python -m repro``
   command line.
 """
@@ -46,7 +47,6 @@ from .grid import (
     GridPointTask,
     GridSpec,
     get_grid,
-    grid_steps,
     list_grids,
     register_grid,
     run_grid_point_task,
@@ -69,17 +69,11 @@ from .models import (
     model_fingerprint,
 )
 from .runner import (
-    FIGURE_NAMES,
     Campaign,
     CampaignContext,
     CampaignResult,
     CampaignStep,
     RetryPolicy,
-    figure_steps,
-    render_figure,
-    stream_steps,
-    sweep_steps,
-    train_steps,
 )
 from .scenario import (
     ROOM_PRESETS,
@@ -105,7 +99,6 @@ __all__ = [
     "ResultsStore",
     "coords_key",
     "get_grid",
-    "grid_steps",
     "list_grids",
     "register_grid",
     "run_grid_point_task",
@@ -114,17 +107,11 @@ __all__ = [
     "ModelRegistryStats",
     "default_model_dir",
     "model_fingerprint",
-    "FIGURE_NAMES",
     "Campaign",
     "CampaignContext",
     "CampaignResult",
     "CampaignStep",
     "RetryPolicy",
-    "figure_steps",
-    "render_figure",
-    "stream_steps",
-    "sweep_steps",
-    "train_steps",
     "ROOM_PRESETS",
     "Scenario",
     "get_scenario",

@@ -9,19 +9,17 @@ a list of axes (``num_humans``, walker ``speed``, ``snr_db``, ``seed``,
 in declared axis order and derives one scenario per cell.
 
 Derived scenarios are first-class citizens: they are registered in the
-scenario registry (``repro list-scenarios`` shows them, and any
-existing step builder — sweep, train, figure, stream — accepts them by
-name), and each resolves to its own
+scenario registry (``repro list-scenarios`` shows them, and every
+scenario-based campaign kind — sweep, train, figure, stream — accepts
+them by name), and each resolves to its own
 :class:`~repro.config.SimulationConfig`, so grid members are
 individually content-addressed in the dataset cache.  Member names are
 pure functions of the grid and the cell coordinates, so cache keys are
 stable across processes and machines.
 
-:func:`grid_steps` turns an expanded grid into a campaign DAG — one
-worker-runnable ``point@<coords>`` step per member plus a ``report``
-step — executed by the parallel wavefront scheduler
-(:meth:`~repro.campaign.runner.Campaign.run` with ``jobs > 1``).  Each
-point evaluates its estimator suite at the member's operating point
+:func:`run_grid_point_task` is the body of one grid member's campaign
+step (the grid kind, :mod:`repro.api.kinds.grid`, builds the DAG): it
+evaluates the estimator suite at the member's operating point
 (optionally resolving a VVD model through the checkpoint registry) and
 publishes a deterministic record into the campaign's
 :class:`~repro.campaign.results.ResultsStore`.
@@ -36,7 +34,7 @@ from typing import Sequence
 
 from ..config import SimulationConfig
 from ..errors import ConfigurationError, NotFoundError
-from .params import field_problems
+from .params import HORIZON_BOUNDS, field_problems, param
 from .results import ResultsStore, coords_key
 from .scenario import Scenario, get_scenario, register_scenario
 
@@ -70,20 +68,13 @@ def _axis_violations(axis: str, value: object) -> list[str]:
     """Schema violations of one axis value (empty when valid).
 
     Scenario-field axes validate against the declared
-    :class:`~repro.campaign.scenario.Scenario` field; the ``horizon``
-    eval axis expects a non-negative int.  Runs at :class:`GridSpec`
-    construction so an inconsistent grid fails before any expansion,
-    registration or campaign start.
+    :class:`~repro.campaign.scenario.Scenario` field, the ``horizon``
+    eval axis against the declared :attr:`GridPoint.horizon`.  Runs at
+    :class:`GridSpec` construction so an inconsistent grid fails before
+    any expansion, registration or campaign start.
     """
     if axis in EVAL_AXES:
-        if isinstance(value, bool) or not isinstance(value, int):
-            return [
-                f"{axis}: expected int, got "
-                f"{type(value).__name__} ({value!r})"
-            ]
-        if value < 0:
-            return [f"{axis}: must be >= 0, got {value}"]
-        return []
+        return field_problems(GridPoint, axis, value)
     return field_problems(Scenario, AXIS_FIELDS[axis], value)
 
 
@@ -123,7 +114,9 @@ class GridPoint:
     #: ``(axis, formatted value)`` pairs in declared axis order.
     coords: tuple[tuple[str, str], ...]
     #: VVD prediction horizon when the grid has a ``horizon`` axis.
-    horizon: int | None = None
+    horizon: int | None = param(
+        None, "VVD prediction horizon in camera frames", bounds=HORIZON_BOUNDS
+    )
 
     @property
     def label(self) -> str:
@@ -265,8 +258,8 @@ class GridSpec:
 
         Members re-register idempotently (their definitions are pure
         functions of the spec), which is what lets ``repro
-        list-scenarios`` show them and every existing step builder
-        accept them by name.
+        list-scenarios`` show them and every scenario-based campaign
+        kind accept them by name.
         """
         return [
             register_scenario(point.scenario, replace=True)
@@ -335,17 +328,15 @@ class GridPointTask:
     #: Results-store directory records are published into.
     results_dir: str
     #: VVD prediction horizon; ``None`` = no model resolution.
-    horizon: int | None = None
-    #: Model checkpoint registry root (required when ``horizon`` set).
-    model_root: str | None = None
+    horizon: int | None
+    #: Model checkpoint registry root (set when ``horizon`` is).
+    model_root: str | None
     #: VVD weight-init / shuffle seed.
-    vvd_seed: int = 7
-    #: Dataset processing engine.
-    engine: str = "batch"
+    vvd_seed: int
     #: Per-point dataset-generation pool size (``--workers``).  Note
     #: that this nests under ``--jobs``: N jobs x M workers processes
     #: run at peak when the grid is cache-cold.
-    workers: int | None = None
+    workers: int | None
 
 
 def run_grid_point_task(task: GridPointTask) -> str:
@@ -383,10 +374,7 @@ def _run_grid_point(task: GridPointTask, point_span) -> str:
     # One build serves both generation (on a miss) and evaluation.
     components = build_components(task.config)
     sets = cache.load_or_generate(
-        task.config,
-        engine=task.engine,
-        workers=task.workers,
-        components=components,
+        task.config, workers=task.workers, components=components
     )
     techniques = evaluate_snr_point(
         task.config, suite=task.suite, sets=sets, components=components
@@ -404,11 +392,6 @@ def _run_grid_point(task: GridPointTask, point_span) -> str:
     }
     models_trained = 0
     if task.horizon is not None:
-        if task.model_root is None:
-            raise ConfigurationError(
-                "grid points with a VVD horizon need a model registry "
-                "root"
-            )
         registry = ModelCheckpointRegistry(task.model_root)
         combination = rotating_set_combinations(
             task.config.dataset.num_sets
@@ -421,7 +404,6 @@ def _run_grid_point(task: GridPointTask, point_span) -> str:
             task.config,
             horizon_frames=task.horizon,
             seed=task.vvd_seed,
-            engine=task.engine,
         )
         models_trained = registry.stats.models_trained
         record["vvd"] = {
@@ -431,7 +413,6 @@ def _run_grid_point(task: GridPointTask, point_span) -> str:
                 validation,
                 horizon_frames=task.horizon,
                 seed=task.vvd_seed,
-                engine=task.engine,
             ),
             "horizon": task.horizon,
             "seed": task.vvd_seed,
@@ -451,135 +432,6 @@ def _run_grid_point(task: GridPointTask, point_span) -> str:
         },
         sort_keys=True,
     )
-
-
-# -- campaign step builder ----------------------------------------------
-def grid_steps(
-    spec: GridSpec,
-    points: Sequence[GridPoint] | None = None,
-    suite: str = "quick",
-    vvd: bool = False,
-    horizon: int = 0,
-    vvd_seed: int = 7,
-) -> list:
-    """Steps of a grid campaign: one worker-runnable step per member.
-
-    Every ``point@<coords>`` step is independent (the wavefront
-    scheduler runs them concurrently under ``--jobs N``); the final
-    ``report`` step assembles the aggregated
-    :class:`~repro.campaign.results.ResultsStore` (``results.json``)
-    and renders the cross-scenario summary table purely from the stored
-    records.  ``vvd=True`` (or a ``horizon`` grid axis) resolves one
-    VVD model per point through the campaign's checkpoint registry.
-    """
-    from ..experiments.reporting import format_grid_table
-    from .runner import CampaignContext, CampaignStep
-
-    if points is None:
-        points = spec.expand()
-    steps: list[CampaignStep] = []
-    point_ids: list[str] = []
-
-    def _task_for(
-        ctx: CampaignContext, point: GridPoint
-    ) -> GridPointTask:
-        point_horizon = point.horizon
-        if point_horizon is None and vvd:
-            point_horizon = horizon
-        model_root = None
-        if point_horizon is not None:
-            if ctx.checkpoints is None:
-                raise ConfigurationError(
-                    "grid steps resolving VVD models need a "
-                    "CampaignContext with a checkpoints= model registry"
-                )
-            model_root = str(ctx.checkpoints.root)
-        return GridPointTask(
-            label=point.label,
-            coords=point.coords,
-            scenario=point.scenario.name,
-            config=point.scenario.resolve(),
-            suite=suite,
-            cache_root=str(ctx.cache.root),
-            results_dir=str(ctx.directory / "results"),
-            horizon=point_horizon,
-            model_root=model_root,
-            vvd_seed=vvd_seed,
-            workers=ctx.workers,
-        )
-
-    for point in points:
-
-        def _run_point(ctx: CampaignContext, point=point) -> str:
-            return run_grid_point_task(_task_for(ctx, point))
-
-        def _point_worker(ctx: CampaignContext, point=point):
-            return run_grid_point_task, {"task": _task_for(ctx, point)}
-
-        step_id = f"point@{point.label}"
-        steps.append(
-            CampaignStep(
-                step_id=step_id,
-                description=(
-                    f"evaluate grid member {point.scenario.name}"
-                ),
-                run=_run_point,
-                worker=_point_worker,
-            )
-        )
-        point_ids.append(step_id)
-
-    def _run_report(ctx: CampaignContext) -> str:
-        store = ResultsStore(ctx.directory / "results")
-        rows = []
-        missing: list[str] = []
-        for point in points:
-            if f"point@{point.label}" in ctx.quarantined:
-                missing.append(point.label)
-                continue
-            try:
-                record = store.get(point.coords)
-            except ConfigurationError:
-                missing.append(point.label)
-                continue
-            metrics = dict(
-                sorted(
-                    (f"per:{name}", value)
-                    for name, value in record["per"].items()
-                )
-            )
-            if "vvd" in record:
-                metrics["vvd_val_mse"] = record["vvd"]["best_val_loss"]
-            rows.append((dict(point.coords), metrics))
-        if not rows:
-            raise ConfigurationError(
-                "grid report has no surviving points: every grid member "
-                "was quarantined or left no record"
-            )
-        store.write_aggregate()
-        table = format_grid_table(
-            f"Grid campaign {spec.name!r} — {len(rows)} scenario(s), "
-            f"suite {suite!r}",
-            spec.axis_names,
-            rows,
-        )
-        if missing:
-            table += (
-                f"\n{len(missing)} point(s) quarantined: "
-                + ", ".join(missing)
-            )
-        return table
-
-    steps.append(
-        CampaignStep(
-            step_id="report",
-            description="aggregate results + cross-scenario summary",
-            run=_run_report,
-            depends_on=tuple(point_ids),
-            run_on_partial=True,
-        )
-    )
-    return steps
 
 
 def _register_builtins() -> None:

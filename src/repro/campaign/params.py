@@ -65,6 +65,10 @@ PACKETS_PER_SET_BOUNDS = (2, 2000)
 #: Campaign-seed bounds.
 SEED_BOUNDS = (0, 2**32 - 1)
 
+#: Prediction-horizon bounds in camera frames (a set has at most as
+#: many frames as packets).
+HORIZON_BOUNDS = (0, PACKETS_PER_SET_BOUNDS[1])
+
 #: Concurrent-stream-link bounds.  The heap-based discrete-event
 #: scheduler keeps replay and capacity memory O(links), so capacity
 #: grids sweep into the thousands.

@@ -8,41 +8,17 @@ step's text payload under the campaign directory — so a killed run
 resumes exactly where it stopped, and a completed campaign replays its
 report without touching the simulator.
 
-Two campaign shapes are provided:
-
-:func:`sweep_steps`
-    One ``dataset@<snr>`` + ``eval@<snr>`` pair per SNR operating point
-    (datasets resolved through the content-addressed cache, evaluation
-    via :func:`~repro.experiments.snr_sweep.evaluate_snr_point`) and a
-    final ``report`` step assembling the PER table.
-
-:func:`figure_steps`
-    One ``dataset`` step plus one ``figure:<name>`` step per requested
-    table/figure; the evaluation bundle is built lazily once and shared
-    in-process between figure steps.
-
-:func:`train_steps`
-    One ``train@combo<k>`` step per Table 2 set combination, each
-    resolving its VVD model through the content-addressed
-    :class:`~repro.campaign.models.ModelCheckpointRegistry` (training
-    only on a registry miss), plus a final ``report`` step summarizing
-    per-variant training outcomes.
-
-:func:`stream_steps`
-    The closed-loop streaming campaign: cached scenario dataset +
-    ``train@stream`` model resolution (when a prediction-driven policy
-    runs), a cached ``links`` dataset of per-link walks, one
-    ``stream@<policy>`` simulation step per requested link-adaptation
-    policy, and a ``report`` step assembling the policy comparison table
-    and the proactive-vs-reactive timeline figure purely from stored
-    payloads.
+This module is only the executor: the run-time :class:`CampaignContext`,
+the step and result records, the :class:`RetryPolicy` and one
+topological-wavefront scheduler that supervises worker processes for
+every ``--jobs`` value.  What the steps of each campaign kind are is
+declared with the kind, in :mod:`repro.api.kinds`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -56,16 +32,12 @@ from typing import Callable, Sequence
 from .. import blas, faults, lifetime
 from ..config import SimulationConfig
 from ..obs import log, metrics as obs_metrics, trace
-from ..dataset.sets import rotating_set_combinations
 from ..errors import (
     ConfigurationError,
     StepTimeoutError,
     WorkerCrashError,
     is_transient,
 )
-from ..experiments.bundle import EvaluationBundle, build_evaluation_bundle
-from ..experiments.reporting import format_series_table
-from ..experiments.snr_sweep import evaluate_snr_point, snr_point_config
 from .cache import DatasetCache
 from .manifest import (
     STATUS_DONE,
@@ -75,20 +47,6 @@ from .manifest import (
     CampaignManifest,
 )
 from .models import ModelCheckpointRegistry
-
-#: Figures/tables renderable by ``figure_steps`` (CLI ``repro figure``).
-FIGURE_NAMES = (
-    "table1",
-    "table2",
-    "fig5",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-)
 
 
 class CampaignContext:
@@ -117,9 +75,8 @@ class CampaignContext:
         self.workers = workers
         self.verbose = verbose
         self.options = dict(options or {})
-        #: Content-addressed registry resolving VVD trainings; steps
-        #: that train models require it (``repro train``, figure
-        #: campaigns pass one so repeat runs never retrain).
+        #: Content-addressed registry resolving VVD trainings, for the
+        #: kinds whose steps train or load models.
         self.checkpoints = checkpoints
         self.shared: dict = {}
         #: Step ids fenced off by the current run (failed after
@@ -887,924 +844,3 @@ class _Wavefront:
                 "backoff_s": round(backoff_s, 6),
             },
         )
-
-
-# -- sweep campaign -----------------------------------------------------
-def _snr_tag(snr_db: float) -> str:
-    return f"{snr_db:g}dB"
-
-
-def _materialize_dataset(
-    ctx: CampaignContext, config: SimulationConfig
-) -> str:
-    """Shared dataset-step body: ensure ``config`` is cached.
-
-    A complete on-disk entry is left untouched (the consuming step loads
-    it once); otherwise the missing sets are generated and the loaded
-    campaign is stashed under ``ctx.shared['sets:<key>']`` for the
-    consumer to pop, avoiding an immediate reload.  Returns the JSON
-    payload persisted for the step.
-    """
-    key = ctx.cache.key_for(config)
-    if ctx.cache.has(config):
-        return json.dumps({"key": key, "sets_generated": 0})
-    generated_before = ctx.cache.stats.sets_generated
-    ctx.shared[f"sets:{key}"] = ctx.cache.load_or_generate(
-        config, workers=ctx.workers, verbose=ctx.verbose
-    )
-    return json.dumps(
-        {
-            "key": key,
-            "sets_generated": ctx.cache.stats.sets_generated
-            - generated_before,
-        }
-    )
-
-
-def sweep_steps(
-    config: SimulationConfig,
-    snrs_db: Sequence[float],
-    num_sets: int | None = None,
-    suite: str = "baseline",
-) -> list[CampaignStep]:
-    """Steps of an SNR-sweep campaign over ``config``.
-
-    Per operating point: a ``dataset@<snr>`` step that materializes the
-    point's measurement sets in the cache (a no-op cache hit on repeat
-    runs) and an ``eval@<snr>`` step persisting the per-technique
-    PER/CER as JSON.  The final ``report`` step assembles the Sec. 6.6
-    PER-vs-SNR table purely from the stored JSON payloads.
-    """
-    if len(snrs_db) < 2:
-        raise ConfigurationError("sweep needs at least two SNR points")
-    ordered = sorted(set(float(s) for s in snrs_db))
-    steps: list[CampaignStep] = []
-    eval_ids = []
-    for snr in ordered:
-        tag = _snr_tag(snr)
-        point = snr_point_config(config, snr, num_sets=num_sets)
-
-        def _run_dataset(
-            ctx: CampaignContext, point=point
-        ) -> str:
-            return _materialize_dataset(ctx, point)
-
-        def _run_eval(
-            ctx: CampaignContext, point=point, snr=snr
-        ) -> str:
-            techniques = evaluate_snr_point(
-                point,
-                suite=suite,
-                cache=ctx.cache,
-                workers=ctx.workers,
-                sets=ctx.shared.pop(
-                    f"sets:{ctx.cache.key_for(point)}", None
-                ),
-            )
-            return json.dumps(
-                {
-                    "snr_db": snr,
-                    "per": {
-                        name: result.per
-                        for name, result in techniques.items()
-                    },
-                    "cer": {
-                        name: result.cer
-                        for name, result in techniques.items()
-                    },
-                }
-            )
-
-        steps.append(
-            CampaignStep(
-                step_id=f"dataset@{tag}",
-                description=f"materialize cached dataset at {tag}",
-                run=_run_dataset,
-            )
-        )
-        steps.append(
-            CampaignStep(
-                step_id=f"eval@{tag}",
-                description=f"evaluate suite {suite!r} at {tag}",
-                run=_run_eval,
-                depends_on=(f"dataset@{tag}",),
-            )
-        )
-        eval_ids.append(f"eval@{tag}")
-
-    def _run_report(ctx: CampaignContext) -> str:
-        # Under a quarantining run the report still renders, from the
-        # operating points that survived; quarantined points are named
-        # below the table instead of aborting the campaign.
-        available = [
-            step_id
-            for step_id in eval_ids
-            if step_id not in ctx.quarantined
-            and ctx.output_path(step_id).exists()
-        ]
-        if not available:
-            raise ConfigurationError(
-                "sweep report has no completed operating point; all "
-                f"{len(eval_ids)} eval step(s) are quarantined"
-            )
-        points = [
-            json.loads(ctx.read_output(step_id))
-            for step_id in available
-        ]
-        names = list(points[0]["per"])
-        series = {
-            name: [point["per"][name] for point in points]
-            for name in names
-        }
-        table = format_series_table(
-            f"SNR sweep — PER per technique (suite: {suite})",
-            "snr_db",
-            [point["snr_db"] for point in points],
-            series,
-        )
-        missing = [s for s in eval_ids if s not in available]
-        if missing:
-            table += (
-                f"\n{len(missing)} operating point(s) quarantined: "
-                + ", ".join(missing)
-            )
-        return table
-
-    steps.append(
-        CampaignStep(
-            step_id="report",
-            description="assemble PER-vs-SNR table",
-            run=_run_report,
-            depends_on=tuple(eval_ids),
-            run_on_partial=True,
-        )
-    )
-    return steps
-
-
-# -- figure campaign ----------------------------------------------------
-def _bundle(ctx: CampaignContext) -> EvaluationBundle:
-    """Build (once per run) the shared evaluation bundle via the cache."""
-    bundle = ctx.shared.get("bundle")
-    if bundle is None:
-        bundle = build_evaluation_bundle(
-            ctx.config,
-            num_combinations=ctx.options.get("combinations"),
-            verbose=ctx.verbose,
-            workers=ctx.workers,
-            cache=ctx.cache,
-            sets=ctx.shared.pop(
-                f"sets:{ctx.cache.key_for(ctx.config)}", None
-            ),
-            checkpoints=ctx.checkpoints,
-            vvd_seed=ctx.options.get("vvd_seed", 7),
-        )
-        ctx.shared["bundle"] = bundle
-    return bundle
-
-
-def _aging(ctx: CampaignContext) -> object:
-    """Memoized Figs. 16/17 aging result (one experiment, two figures)."""
-    from ..experiments.figures import fig16
-
-    aging = ctx.shared.get("aging")
-    if aging is None:
-        aging = fig16.generate(_bundle(ctx))
-        ctx.shared["aging"] = aging
-    return aging
-
-
-def render_figure(name: str, ctx: CampaignContext) -> str:
-    """Render one paper table/figure from the cached evaluation bundle."""
-    from ..experiments.figures import (
-        fig5,
-        fig11,
-        fig12,
-        fig13,
-        fig14,
-        fig15,
-        fig16,
-        fig17,
-        table1,
-        table2,
-    )
-
-    if name == "table1":
-        return table1.render(_bundle(ctx))
-    if name == "table2":
-        return table2.render(_bundle(ctx).sets)
-    if name == "fig5":
-        bundle = _bundle(ctx)
-        return fig5.render(
-            fig5.generate(bundle.sets[1], bundle.sets[2:])
-        )
-    if name == "fig11":
-        bundle = _bundle(ctx)
-        return fig11.render(
-            fig11.generate(
-                bundle.runner,
-                bundle.combinations,
-                bundle.config,
-                checkpoints=ctx.checkpoints,
-                vvd_seed=ctx.options.get("vvd_seed", 7),
-            )
-        )
-    if name == "fig12":
-        return fig12.render(_bundle(ctx))
-    if name == "fig13":
-        return fig13.render(_bundle(ctx))
-    if name == "fig14":
-        return fig14.render(_bundle(ctx))
-    if name == "fig15":
-        return fig15.render(fig15.generate(_bundle(ctx)))
-    if name == "fig16":
-        return fig16.render(_aging(ctx))
-    if name == "fig17":
-        return fig17.render(_aging(ctx))
-    raise ConfigurationError(
-        f"unknown figure {name!r}; known figures: "
-        f"{', '.join(FIGURE_NAMES)}"
-    )
-
-
-def figure_steps(
-    config: SimulationConfig, names: Sequence[str]
-) -> list[CampaignStep]:
-    """Steps of a figure campaign: one cached dataset + one step/figure."""
-    unknown = [name for name in names if name not in FIGURE_NAMES]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown figures {unknown}; known figures: "
-            f"{', '.join(FIGURE_NAMES)}"
-        )
-
-    def _run_dataset(ctx: CampaignContext) -> str:
-        return _materialize_dataset(ctx, ctx.config)
-
-    steps = [
-        CampaignStep(
-            step_id="dataset",
-            description="materialize cached dataset",
-            run=_run_dataset,
-        )
-    ]
-    for name in names:
-
-        def _run_figure(ctx: CampaignContext, name=name) -> str:
-            return render_figure(name, ctx)
-
-        steps.append(
-            CampaignStep(
-                step_id=f"figure:{name}",
-                description=f"render {name}",
-                run=_run_figure,
-                depends_on=("dataset",),
-            )
-        )
-    return steps
-
-
-# -- training campaign ---------------------------------------------------
-def _campaign_sets(ctx: CampaignContext) -> list:
-    """The campaign's measurement sets, loaded once per run.
-
-    Unlike the sweep's producer/consumer stash (which *pops* its entry),
-    training steps share one in-memory copy across every variant: the
-    first caller resolves the sets through the cache and later callers —
-    including steps re-executed after a resume, when the ``dataset``
-    step itself was skipped — reuse it.
-    """
-    key = f"sets:{ctx.cache.key_for(ctx.config)}"
-    sets = ctx.shared.get(key)
-    if sets is None:
-        sets = ctx.cache.load_or_generate(
-            ctx.config, workers=ctx.workers, verbose=ctx.verbose
-        )
-        ctx.shared[key] = sets
-    return sets
-
-
-def train_steps(
-    config: SimulationConfig,
-    num_combinations: int | None = None,
-    horizons: Sequence[int] = (0,),
-    seed: int = 7,
-) -> list[CampaignStep]:
-    """Steps of a training campaign: one model per (combination, horizon).
-
-    Per Table 2 combination and prediction horizon: a
-    ``train@combo<k>@h<f>`` step that resolves the variant's VVD model
-    through the run's
-    :class:`~repro.campaign.models.ModelCheckpointRegistry`
-    (``ctx.checkpoints``) — training the CNN only when the registry has
-    no checkpoint for the (config, split, horizon, seed) key — and
-    persists a JSON payload recording the key and whether a training
-    actually ran.  ``horizons=(0, 1, 3)`` pre-trains every Fig. 11
-    future-prediction variant alongside the VVD-Current models.  The
-    final ``report`` step assembles the per-variant summary table
-    purely from the stored payloads, so a completed campaign replays
-    without touching the registry.
-    """
-    combinations = rotating_set_combinations(config.dataset.num_sets)
-    if num_combinations is not None:
-        if num_combinations < 1:
-            raise ConfigurationError("num_combinations must be >= 1")
-        combinations = combinations[:num_combinations]
-    horizons = tuple(dict.fromkeys(int(h) for h in horizons))
-    if not horizons:
-        raise ConfigurationError("horizons must not be empty")
-    if any(h < 0 for h in horizons):
-        raise ConfigurationError(
-            f"horizons must be >= 0, got {horizons}"
-        )
-
-    def _run_dataset(ctx: CampaignContext) -> str:
-        return _materialize_dataset(ctx, ctx.config)
-
-    steps = [
-        CampaignStep(
-            step_id="dataset",
-            description="materialize cached dataset",
-            run=_run_dataset,
-        )
-    ]
-    train_ids = []
-    for combination in combinations:
-        for horizon in horizons:
-
-            def _run_train(
-                ctx: CampaignContext,
-                combination=combination,
-                horizon=horizon,
-            ) -> str:
-                if ctx.checkpoints is None:
-                    raise ConfigurationError(
-                        "training steps need a CampaignContext with a "
-                        "checkpoints= model registry"
-                    )
-                sets = _campaign_sets(ctx)
-                training = [
-                    sets[i] for i in combination.training_indices()
-                ]
-                validation = [sets[combination.validation_index]]
-                trained_before = ctx.checkpoints.stats.models_trained
-                trained = ctx.checkpoints.load_or_train(
-                    training,
-                    validation,
-                    ctx.config,
-                    horizon_frames=horizon,
-                    seed=seed,
-                    verbose=ctx.verbose,
-                )
-                return json.dumps(
-                    {
-                        "combination": combination.number,
-                        "horizon": horizon,
-                        "key": ctx.checkpoints.key_for(
-                            ctx.config,
-                            training,
-                            validation,
-                            horizon_frames=horizon,
-                            seed=seed,
-                        ),
-                        "trained": ctx.checkpoints.stats.models_trained
-                        - trained_before,
-                        "epochs": len(trained.history.train_loss),
-                        "best_epoch": trained.history.best_epoch,
-                        "best_val_loss": trained.history.best_val_loss,
-                    }
-                )
-
-            step_id = (
-                f"train@combo{combination.number:02d}@h{horizon}"
-            )
-            steps.append(
-                CampaignStep(
-                    step_id=step_id,
-                    description=(
-                        f"train/resolve VVD for combination "
-                        f"{combination.number}, horizon {horizon}"
-                    ),
-                    run=_run_train,
-                    depends_on=("dataset",),
-                )
-            )
-            train_ids.append(step_id)
-
-    def _run_report(ctx: CampaignContext) -> str:
-        available = [
-            step_id
-            for step_id in train_ids
-            if step_id not in ctx.quarantined
-            and ctx.output_path(step_id).exists()
-        ]
-        if not available:
-            raise ConfigurationError(
-                "training report has no completed variant; all "
-                f"{len(train_ids)} train step(s) are quarantined"
-            )
-        rows = [
-            json.loads(ctx.read_output(step_id))
-            for step_id in available
-        ]
-        lines = [
-            f"Training campaign — {len(rows)} Table 2 variant(s), "
-            f"horizon(s) {list(horizons)}, seed {seed}",
-            f"{'Combo':>5}  {'Hzn':>3}  {'Model key':<16}  "
-            f"{'Trained':>7}  {'Best epoch':>10}  {'Best val MSE':>12}",
-        ]
-        for row in rows:
-            lines.append(
-                f"{row['combination']:>5}  {row['horizon']:>3}  "
-                f"{row['key']:<16}  "
-                f"{'yes' if row['trained'] else 'cached':>7}  "
-                f"{row['best_epoch'] + 1:>10}  "
-                f"{row['best_val_loss']:>12.3e}"
-            )
-        newly_trained = sum(row["trained"] for row in rows)
-        lines.append(
-            f"{newly_trained} model(s) trained, "
-            f"{len(rows) - newly_trained} resolved from checkpoints"
-        )
-        missing = [s for s in train_ids if s not in available]
-        if missing:
-            lines.append(
-                f"{len(missing)} variant(s) quarantined: "
-                + ", ".join(missing)
-            )
-        return "\n".join(lines)
-
-    steps.append(
-        CampaignStep(
-            step_id="report",
-            description="assemble per-variant training summary",
-            run=_run_report,
-            depends_on=tuple(train_ids),
-            run_on_partial=True,
-        )
-    )
-    return steps
-
-
-# -- streaming campaign ---------------------------------------------------
-def _stream_traces(
-    ctx: CampaignContext, links: int, slots: int | None
-) -> list:
-    """The run's link traces, loaded once and shared across steps.
-
-    Resolution goes through :func:`~repro.stream.events.
-    build_link_traces` with the dataset cache — a completed ``links``
-    step is a pure cache hit here, and a ``links`` step that just
-    generated the sets hands them over through the shared stash —
-    so simulation steps re-executed after a resume reload without
-    regenerating.  The campaign parameters come from the
-    :func:`stream_steps` closures, never from ``ctx.options``.
-    """
-    from ..stream.events import build_link_traces, stream_link_config
-
-    key = f"stream-traces:{links}:{slots}"
-    traces = ctx.shared.get(key)
-    if traces is None:
-        derived = stream_link_config(ctx.config, links, slots=slots)
-        traces = build_link_traces(
-            ctx.config,
-            links,
-            slots=slots,
-            cache=ctx.cache,
-            workers=ctx.workers,
-            verbose=ctx.verbose,
-            sets=ctx.shared.pop(
-                f"sets:{ctx.cache.key_for(derived)}", None
-            ),
-        )
-        ctx.shared[key] = traces
-    return traces
-
-
-def _stream_service(ctx: CampaignContext, horizon: int, seed: int):
-    """The run's :class:`~repro.stream.service.PredictionService`.
-
-    Built once per run from the campaign's model registry over the
-    scenario's first Table 2 split; on resumed runs the registry serves
-    the checkpoint, so no CNN is retrained.
-    """
-    from ..stream.service import PredictionService
-
-    key = f"stream-service:{horizon}:{seed}"
-    service = ctx.shared.get(key)
-    if service is None:
-        if ctx.checkpoints is None:
-            raise ConfigurationError(
-                "prediction-driven stream steps need a CampaignContext "
-                "with a checkpoints= model registry"
-            )
-        sets = _campaign_sets(ctx)
-        combination = rotating_set_combinations(
-            ctx.config.dataset.num_sets
-        )[0]
-        service = PredictionService.from_registry(
-            ctx.checkpoints,
-            ctx.config,
-            [sets[i] for i in combination.training_indices()],
-            [sets[combination.validation_index]],
-            horizon_frames=horizon,
-            seed=seed,
-            verbose=ctx.verbose,
-        )
-        ctx.shared[key] = service
-    return service
-
-
-def _stream_simulator(
-    ctx: CampaignContext,
-    links: int,
-    slots: int | None,
-    deadline_slots: int,
-    round_deadline_s: float | None = None,
-):
-    """The run's simulator (components + traces), built once."""
-    from ..stream.simulator import StreamSimulator
-
-    key = (
-        f"stream-simulator:{links}:{slots}:{deadline_slots}:"
-        f"{round_deadline_s}"
-    )
-    simulator = ctx.shared.get(key)
-    if simulator is None:
-        from ..dataset.generator import build_components
-        from ..stream.events import stream_link_config
-
-        derived = stream_link_config(ctx.config, links, slots=slots)
-        simulator = StreamSimulator(
-            build_components(derived),
-            _stream_traces(ctx, links, slots),
-            deadline_slots=deadline_slots,
-            round_deadline_s=round_deadline_s,
-        )
-        ctx.shared[key] = simulator
-    return simulator
-
-
-def stream_steps(
-    config: SimulationConfig,
-    links: int,
-    policies: Sequence[str],
-    slots: int | None = None,
-    deadline_slots: int = 3,
-    horizon: int = 0,
-    seed: int = 7,
-    defer_threshold: float | None = None,
-    round_deadline_s: float | None = None,
-) -> list[CampaignStep]:
-    """Steps of a closed-loop streaming campaign over ``config``.
-
-    The DAG mirrors the training campaign: a cached ``dataset`` step
-    and a ``train@stream`` model-resolution step exist only when a
-    prediction-driven policy (``proactive``) is requested; a ``links``
-    step materializes the derived per-link walk dataset in the cache;
-    one ``stream@<policy>`` step per policy runs the closed loop and
-    persists its deterministic metrics payload; the final ``report``
-    step assembles the comparison table and the timeline figure purely
-    from the stored JSON payloads, so a completed campaign replays
-    without touching the simulator.
-    """
-    from ..stream.policy import POLICY_BUILDERS, build_policy
-
-    policies = list(dict.fromkeys(policies))
-    if not policies:
-        raise ConfigurationError("stream_steps needs >= 1 policy")
-    unknown = [p for p in policies if p not in POLICY_BUILDERS]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown policies {unknown}; known policies: "
-            f"{', '.join(sorted(POLICY_BUILDERS))}"
-        )
-    needs_service = any(
-        build_policy(name).uses_predictions for name in policies
-    )
-
-    steps: list[CampaignStep] = []
-    stream_deps = ["links"]
-    if needs_service:
-
-        def _run_dataset(ctx: CampaignContext) -> str:
-            return _materialize_dataset(ctx, ctx.config)
-
-        def _run_train(ctx: CampaignContext) -> str:
-            if ctx.checkpoints is None:
-                raise ConfigurationError(
-                    "the stream train step needs a CampaignContext "
-                    "with a checkpoints= model registry"
-                )
-            sets = _campaign_sets(ctx)
-            combination = rotating_set_combinations(
-                ctx.config.dataset.num_sets
-            )[0]
-            training = [
-                sets[i] for i in combination.training_indices()
-            ]
-            validation = [sets[combination.validation_index]]
-            trained_before = ctx.checkpoints.stats.models_trained
-            _stream_service(ctx, horizon, seed)
-            return json.dumps(
-                {
-                    "key": ctx.checkpoints.key_for(
-                        ctx.config,
-                        training,
-                        validation,
-                        horizon_frames=horizon,
-                        seed=seed,
-                    ),
-                    "horizon": horizon,
-                    "seed": seed,
-                    "trained": ctx.checkpoints.stats.models_trained
-                    - trained_before,
-                }
-            )
-
-        steps.append(
-            CampaignStep(
-                step_id="dataset",
-                description="materialize cached training dataset",
-                run=_run_dataset,
-            )
-        )
-        steps.append(
-            CampaignStep(
-                step_id="train@stream",
-                description="resolve the serving VVD model",
-                run=_run_train,
-                depends_on=("dataset",),
-            )
-        )
-        stream_deps.append("train@stream")
-
-    def _run_links(ctx: CampaignContext) -> str:
-        from ..stream.events import stream_link_config
-
-        derived = stream_link_config(
-            ctx.config, links, slots=slots
-        )
-        return _materialize_dataset(ctx, derived)
-
-    steps.append(
-        CampaignStep(
-            step_id="links",
-            description=f"materialize {links} cached link trace(s)",
-            run=_run_links,
-        )
-    )
-
-    stream_ids = []
-    for name in policies:
-
-        def _run_stream(ctx: CampaignContext, name=name) -> str:
-            kwargs = {}
-            if defer_threshold is not None and name == "proactive":
-                kwargs["defer_threshold"] = defer_threshold
-            policy = build_policy(name, **kwargs)
-            service = (
-                _stream_service(ctx, horizon, seed)
-                if policy.uses_predictions
-                else None
-            )
-            result = _stream_simulator(
-                ctx, links, slots, deadline_slots, round_deadline_s
-            ).run(policy, service=service, verbose=ctx.verbose)
-            return json.dumps(result.payload(), sort_keys=True)
-
-        def _stream_worker(ctx: CampaignContext, name=name):
-            from ..stream.tasks import (
-                StreamPolicyTask,
-                run_stream_policy_task,
-            )
-
-            uses_predictions = build_policy(name).uses_predictions
-            if uses_predictions and ctx.checkpoints is None:
-                raise ConfigurationError(
-                    "prediction-driven stream steps need a "
-                    "CampaignContext with a checkpoints= model registry"
-                )
-            task = StreamPolicyTask(
-                config=ctx.config,
-                links=links,
-                slots=slots,
-                deadline_slots=deadline_slots,
-                policy=name,
-                defer_threshold=defer_threshold,
-                cache_root=str(ctx.cache.root),
-                model_root=(
-                    str(ctx.checkpoints.root)
-                    if uses_predictions
-                    else None
-                ),
-                horizon=horizon,
-                seed=seed,
-                round_deadline_s=round_deadline_s,
-            )
-            return run_stream_policy_task, {"task": task}
-
-        step_id = f"stream@{name}"
-        steps.append(
-            CampaignStep(
-                step_id=step_id,
-                description=f"closed-loop simulation, policy {name!r}",
-                run=_run_stream,
-                depends_on=tuple(stream_deps),
-                worker=_stream_worker,
-            )
-        )
-        stream_ids.append(step_id)
-
-    def _run_report(ctx: CampaignContext) -> str:
-        from ..experiments.figures import stream_timeline
-        from ..experiments.metrics import StreamMetrics
-
-        available = [
-            step_id
-            for step_id in stream_ids
-            if step_id not in ctx.quarantined
-            and ctx.output_path(step_id).exists()
-        ]
-        if not available:
-            raise ConfigurationError(
-                "stream report has no completed policy; all "
-                f"{len(stream_ids)} simulation step(s) are quarantined"
-            )
-        payloads = [
-            json.loads(ctx.read_output(step_id))
-            for step_id in available
-        ]
-        name_width = max(
-            [len(p["policy"]) for p in payloads] + [len("policy")]
-        )
-        lines = [
-            f"Stream campaign — {links} link(s) x "
-            f"{payloads[0]['num_slots']} slot(s), deadline "
-            f"{deadline_slots} slot(s)",
-            f"{'policy':<{name_width}}  {'goodput':>9}  {'outage':>7}  "
-            f"{'ddl-miss':>8}  {'defer':>6}  {'delivered':>12}",
-        ]
-        for payload in payloads:
-            metrics = StreamMetrics.from_dict(payload["metrics"])
-            lines.append(
-                f"{payload['policy']:<{name_width}}  "
-                f"{metrics.goodput_pps:>7.2f}/s  "
-                f"{metrics.outage:>7.3f}  "
-                f"{metrics.deadline_miss_rate:>8.3f}  "
-                f"{metrics.defer_rate:>6.3f}  "
-                f"{metrics.delivered:>5}/{metrics.offered:<6}"
-            )
-        missing = [s for s in stream_ids if s not in available]
-        if missing:
-            lines.append(
-                f"{len(missing)} policy step(s) quarantined: "
-                + ", ".join(missing)
-            )
-        degraded = {
-            payload["policy"]: StreamMetrics.from_dict(
-                payload["metrics"]
-            ).degraded_rounds
-            for payload in payloads
-        }
-        if any(degraded.values()):
-            lines.append(
-                "degraded prediction rounds (reactive fallback): "
-                + ", ".join(
-                    f"{name}={count}"
-                    for name, count in degraded.items()
-                    if count
-                )
-            )
-        lines.append("")
-        lines.append(
-            stream_timeline.render(stream_timeline.generate(payloads))
-        )
-        return "\n".join(lines)
-
-    steps.append(
-        CampaignStep(
-            step_id="report",
-            description="assemble policy comparison + timeline figure",
-            run=_run_report,
-            depends_on=tuple(stream_ids),
-            run_on_partial=True,
-        )
-    )
-    return steps
-
-
-# -- capacity campaign ----------------------------------------------------
-def capacity_steps(
-    link_counts: Sequence[int],
-    duration_s: float = 30.0,
-    traffic: str = "mixed",
-    qos: str = "triple",
-    seed: int = 7,
-    service_pps: float = 900.0,
-    admission_limit: int = 512,
-) -> list[CampaignStep]:
-    """Steps of a capacity campaign: one modeled point per link count.
-
-    Capacity points are pure queueing-model simulations over the heap
-    scheduler (no PHY, no datasets, no checkpoints), so every
-    ``capacity@<links>`` step is independent and worker-runnable; the
-    final ``report`` step assembles the SLA summary of the largest
-    point plus the links-sustained-vs-SLO capacity curve purely from
-    the persisted JSON payloads.
-    """
-    from ..stream.tasks import CapacityTask, run_capacity_task
-
-    counts = sorted({int(c) for c in link_counts})
-    if not counts:
-        raise ConfigurationError("capacity_steps needs link counts")
-
-    def _task_for(links: int) -> CapacityTask:
-        return CapacityTask(
-            links=links,
-            duration_s=duration_s,
-            traffic=traffic,
-            qos=qos,
-            seed=seed,
-            service_pps=service_pps,
-            admission_limit=admission_limit,
-        )
-
-    steps: list[CampaignStep] = []
-    point_ids: list[str] = []
-    for links in counts:
-
-        def _run_point(ctx: CampaignContext, links=links) -> str:
-            return run_capacity_task(_task_for(links))
-
-        def _point_worker(ctx: CampaignContext, links=links):
-            return run_capacity_task, {"task": _task_for(links)}
-
-        step_id = f"capacity@{links}"
-        steps.append(
-            CampaignStep(
-                step_id=step_id,
-                description=(
-                    f"modeled capacity point at {links} link(s)"
-                ),
-                run=_run_point,
-                worker=_point_worker,
-            )
-        )
-        point_ids.append(step_id)
-
-    def _run_report(ctx: CampaignContext) -> str:
-        from ..experiments.figures import capacity as capacity_figure
-        from ..stream.capacity import CapacityResult
-        from ..stream.tasks import CapacityTask  # noqa: F401
-
-        available = [
-            step_id
-            for step_id in point_ids
-            if step_id not in ctx.quarantined
-            and ctx.output_path(step_id).exists()
-        ]
-        if not available:
-            raise ConfigurationError(
-                "capacity report has no completed point; all "
-                f"{len(point_ids)} step(s) are quarantined"
-            )
-        payloads = [
-            json.loads(ctx.read_output(step_id))
-            for step_id in available
-        ]
-        payloads.sort(key=lambda p: p["links"])
-        from ..experiments.metrics import StreamMetrics
-
-        largest = payloads[-1]
-        result = CapacityResult(
-            links=largest["links"],
-            duration_s=largest["duration_s"],
-            traffic=largest["traffic"],
-            qos=largest["qos"],
-            metrics=StreamMetrics.from_dict(largest["metrics"]),
-            arrivals=largest["arrivals"],
-            batches=largest["batches"],
-        )
-        lines = [result.sla_summary(), ""]
-        lines.append(
-            capacity_figure.render(capacity_figure.generate(payloads))
-        )
-        missing = [s for s in point_ids if s not in available]
-        if missing:
-            lines.append(
-                f"{len(missing)} point(s) quarantined: "
-                + ", ".join(missing)
-            )
-        return "\n".join(lines)
-
-    steps.append(
-        CampaignStep(
-            step_id="report",
-            description="assemble SLA summary + capacity curve",
-            run=_run_report,
-            depends_on=tuple(point_ids),
-            run_on_partial=True,
-        )
-    )
-    return steps

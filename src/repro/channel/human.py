@@ -17,20 +17,11 @@ consumes.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import MobilityConfig, RoomConfig
 from ..errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class Waypoint:
-    """One leg of a random-waypoint trajectory."""
-
-    start_time_s: float
-    position: tuple[float, float]
 
 
 class RandomWaypointMobility:

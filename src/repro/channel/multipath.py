@@ -28,11 +28,6 @@ class PropagationPath:
     gain: complex
     length_m: float
 
-    @property
-    def excess_length_m(self) -> float:
-        """Filled in relative to the LoS by the environment; 0 for LoS."""
-        return self.length_m
-
 
 def _carrier_phase(length_m: float, wavelength_m: float) -> complex:
     return np.exp(-2j * np.pi * length_m / wavelength_m)

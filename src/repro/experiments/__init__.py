@@ -17,8 +17,6 @@ from .metrics import (
     PacketOutcome,
     TechniqueResult,
     box_stats,
-    chip_error_rate,
-    packet_error_rate,
 )
 from .runner import CombinationResult, EvaluationRunner
 from .suite import (
@@ -37,8 +35,6 @@ __all__ = [
     "PacketOutcome",
     "TechniqueResult",
     "box_stats",
-    "chip_error_rate",
-    "packet_error_rate",
     "CombinationResult",
     "EvaluationRunner",
     "SUITE_BUILDERS",

@@ -481,15 +481,6 @@ class StreamMetrics:
         )
 
 
-def packet_error_rate(results: list[TechniqueResult]) -> np.ndarray:
-    """PER per test set for one technique across combinations."""
-    return np.array([r.per for r in results])
-
-
-def chip_error_rate(results: list[TechniqueResult]) -> np.ndarray:
-    return np.array([r.cer for r in results])
-
-
 @dataclass(frozen=True)
 class BoxStats:
     """Five-number summary used to reproduce the paper's box plots."""

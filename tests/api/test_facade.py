@@ -18,7 +18,6 @@ from repro.api import (
     RunOptions,
     SweepJob,
     prepare,
-    run_campaign,
 )
 from repro.campaign.cli import main as cli_main
 from repro.errors import ConfigurationError, NotFoundError
@@ -31,9 +30,9 @@ class TestCliParity:
     def test_outcome_text_matches_cli_stdout(self, tmp_path, capsys):
         api_cache = tmp_path / "api"
         cli_cache = tmp_path / "cli"
-        outcome = run_campaign(
+        outcome = prepare(
             CapacityJob(**CAPACITY_ARGS), cache_dir=str(api_cache)
-        )
+        ).run()
         capsys.readouterr()
         code = cli_main(CAPACITY_ARGV + ["--cache-dir", str(cli_cache)])
         cli_out = capsys.readouterr().out

@@ -92,7 +92,7 @@ class TestRejection:
             job_from_dict({"kind": "train", "horizons": ["soon"]})
 
     def test_figure_requires_names(self):
-        with pytest.raises(ConfigurationError, match="at least one"):
+        with pytest.raises(ConfigurationError, match="needs between 1 and"):
             FigureJob()
 
 

@@ -12,9 +12,9 @@ import json
 
 import pytest
 
+from repro.api import CapacityJob
 from repro.campaign import Campaign, CampaignContext, DatasetCache
 from repro.campaign.grid import AXIS_FIELDS, get_grid
-from repro.campaign.runner import capacity_steps
 from repro.campaign.scenario import Scenario, get_scenario
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
@@ -34,7 +34,9 @@ def _context(tmp_path, workers=None) -> CampaignContext:
 def _run(tmp_path, jobs=1):
     campaign = Campaign(
         "capacity[test]",
-        capacity_steps(_LINKS, duration_s=4.0),
+        CapacityJob(links=_LINKS, duration=4.0).steps(
+            SimulationConfig.tiny()
+        ),
         tmp_path / "campaign",
     )
     context = _context(tmp_path)
@@ -71,7 +73,7 @@ class TestCapacitySteps:
 
     def test_empty_link_counts_raise(self):
         with pytest.raises(ConfigurationError):
-            capacity_steps(())
+            CapacityJob(links=())
 
 
 class TestGridWiring:

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro import faults
+from repro.api import GridJob
 from repro.campaign import (
     Campaign,
     CampaignContext,
@@ -23,15 +24,18 @@ from repro.campaign import (
     GridSpec,
     ModelCheckpointRegistry,
     RetryPolicy,
-    grid_steps,
+    register_grid,
 )
 from repro.campaign.scenario import get_scenario
 
-SPEC = GridSpec(
-    name="chaos-grid",
-    description="chaos determinism fixture",
-    base="smoke",
-    axes=(("snr_db", (6.0, 12.0)),),
+SPEC = register_grid(
+    GridSpec(
+        name="chaos-grid",
+        description="chaos determinism fixture",
+        base="smoke",
+        axes=(("snr_db", (6.0, 12.0)),),
+    ),
+    replace=True,
 )
 
 #: Generous per-attempt timeout: supervised workers (the mode where
@@ -50,13 +54,14 @@ def root(tmp_path_factory):
 def _run(root, name, specs=None, retry=_RETRY):
     """One grid campaign run, optionally under an armed fault plan."""
     directory = root / name
+    config = get_scenario(SPEC.base).resolve()
     campaign = Campaign(
         f"grid[{SPEC.name}]",
-        grid_steps(SPEC, suite="quick"),
+        GridJob(grid=SPEC.name, suite="quick").steps(config),
         directory,
     )
     context = CampaignContext(
-        get_scenario(SPEC.base).resolve(),
+        config,
         DatasetCache(root / "cache"),
         directory,
         checkpoints=ModelCheckpointRegistry(root / "models"),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import GridJob
 from repro.campaign import (
     Campaign,
     CampaignContext,
@@ -17,33 +18,37 @@ from repro.campaign import (
     GridSpec,
     ModelCheckpointRegistry,
     ResultsStore,
-    grid_steps,
+    register_grid,
 )
 from repro.campaign.scenario import get_scenario
 
 
 @pytest.fixture(scope="module")
 def spec() -> GridSpec:
-    return GridSpec(
-        name="determinism-grid",
-        description="serial-vs-parallel determinism fixture",
-        base="smoke",
-        axes=(
-            ("snr_db", (6.0, 12.0)),
-            ("speed", ((0.4, 0.8), (1.0, 1.6))),
+    return register_grid(
+        GridSpec(
+            name="determinism-grid",
+            description="serial-vs-parallel determinism fixture",
+            base="smoke",
+            axes=(
+                ("snr_db", (6.0, 12.0)),
+                ("speed", ((0.4, 0.8), (1.0, 1.6))),
+            ),
         ),
+        replace=True,
     )
 
 
 def _run_grid(spec: GridSpec, root, jobs: int) -> CampaignContext:
     directory = root / "campaign"
+    config = get_scenario(spec.base).resolve()
     campaign = Campaign(
         f"grid[{spec.name}]",
-        grid_steps(spec, suite="quick"),
+        GridJob(grid=spec.name, suite="quick").steps(config),
         directory,
     )
     context = CampaignContext(
-        get_scenario(spec.base).resolve(),
+        config,
         DatasetCache(root / "cache"),
         directory,
         checkpoints=ModelCheckpointRegistry(root / "models"),

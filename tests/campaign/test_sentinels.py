@@ -1,13 +1,13 @@
-"""Pin the CI-grepped sentinel strings through the facade migration.
+"""Pin the CI-grepped sentinel strings at the one site that writes each.
 
 Nightly CI greps exact sentinel lines out of stdout ("100% cache
 hits", "self-healing: ...", "cache corruption detected") and
-byte-diffs serial-vs-parallel capacity logs.  The sentinel text now
-lives in :mod:`repro.api.facade` — the summary assembly every CLI
-subcommand and every ``repro serve`` worker shares — and must not
-move or reformat a single character: this module pins each sentinel
-at its source site and proves the default log level emits them
-verbatim on stdout.
+byte-diffs serial-vs-parallel capacity logs.  The summary lines every
+CLI subcommand and every ``repro serve`` worker shares are assembled by
+:mod:`repro.api.kinds.common` and the kind modules, and must not move
+or reformat a single character: this module pins each sentinel at its
+source site and proves the default log level emits them verbatim on
+stdout.
 """
 
 from __future__ import annotations
@@ -18,6 +18,13 @@ import re
 import pytest
 
 from repro.api import facade as facade_module
+from repro.api.kinds import capacity as capacity_module
+from repro.api.kinds import common as common_module
+from repro.api.kinds import figure as figure_module
+from repro.api.kinds import grid as grid_module
+from repro.api.kinds import stream as stream_module
+from repro.api.kinds import sweep as sweep_module
+from repro.api.kinds import train as train_module
 from repro.campaign import cache as cache_module
 from repro.campaign import cli as cli_module
 from repro.campaign import results as results_module
@@ -28,16 +35,16 @@ from repro.serve import queue as queue_module
 
 #: (module, sentinel fragment) pairs the nightly jobs grep for.
 SENTINELS = [
-    (facade_module, "no measurement sets regenerated (100% cache hits)"),
-    (facade_module, "no models retrained (100% checkpoint hits)"),
-    (facade_module, "step attempt(s) retried, "),
-    (facade_module, "self-healing: "),
+    (common_module, "no measurement sets regenerated (100% cache hits)"),
+    (common_module, "no models retrained (100% checkpoint hits)"),
+    (common_module, "step attempt(s) retried, "),
+    (common_module, "self-healing: "),
     (facade_module, "fault plan {plan.name!r} armed: "),
-    (facade_module, " derived scenario(s) over "),
-    (facade_module, " executed, "),
-    (facade_module, " resumed from manifest "),
-    (facade_module, " modeled point(s) over "),
-    (facade_module, " job(s); no datasets or checkpoints touched"),
+    (grid_module, " derived scenario(s) over "),
+    (common_module, " executed, "),
+    (common_module, " resumed from manifest "),
+    (capacity_module, " modeled point(s) over "),
+    (capacity_module, " job(s); no datasets or checkpoints touched"),
     (cache_module, "warning: cache corruption detected in "),
     (results_module, "warning: corrupt grid record "),
 ]
@@ -46,6 +53,13 @@ SENTINELS = [
 ROUTED_MODULES = [
     cli_module,
     facade_module,
+    common_module,
+    sweep_module,
+    train_module,
+    figure_module,
+    stream_module,
+    capacity_module,
+    grid_module,
     cache_module,
     results_module,
     runner_module,
@@ -74,7 +88,7 @@ class TestSentinelSources:
         assert re.search(r"(?<![\w.])print\(", source) is None
 
     def test_cli_no_longer_owns_sentinel_text(self):
-        """The CLI is a shell: summary text belongs to the facade."""
+        """The CLI is a shell: summary text belongs to the kinds."""
         source = inspect.getsource(cli_module)
         assert "100% cache hits" not in source
         assert "self-healing: " not in source
@@ -103,7 +117,7 @@ class TestSentinelEmission:
             retried = 0
             quarantined: list = []
 
-        lines = facade_module.self_healing_lines(_Result(), plan=object())
+        lines = common_module.self_healing_lines(_Result(), plan=object())
         assert lines == [
             "self-healing: 0 step attempt(s) retried, "
             "0 step(s) quarantined"
@@ -114,14 +128,14 @@ class TestSentinelEmission:
             retried = 0
             quarantined: list = []
 
-        assert facade_module.self_healing_lines(_Result(), plan=None) == []
+        assert common_module.self_healing_lines(_Result(), plan=None) == []
 
     def test_self_healing_lines_name_quarantined_steps(self):
         class _Result:
             retried = 2
             quarantined = ["point@x", "point@y"]
 
-        assert facade_module.self_healing_lines(_Result(), plan=None) == [
+        assert common_module.self_healing_lines(_Result(), plan=None) == [
             "self-healing: 2 step attempt(s) retried, "
             "2 step(s) quarantined: point@x, point@y"
         ]

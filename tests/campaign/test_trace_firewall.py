@@ -17,13 +17,14 @@ import json
 
 import pytest
 
+from repro.api import GridJob
 from repro.campaign import (
     Campaign,
     CampaignContext,
     DatasetCache,
     GridSpec,
     ModelCheckpointRegistry,
-    grid_steps,
+    register_grid,
 )
 from repro.campaign.cli import main
 from repro.campaign.scenario import get_scenario
@@ -32,11 +33,14 @@ from repro.obs import analysis, trace
 
 @pytest.fixture(scope="module")
 def spec() -> GridSpec:
-    return GridSpec(
-        name="firewall-grid",
-        description="tracing on/off determinism fixture",
-        base="smoke",
-        axes=(("snr_db", (6.0, 12.0)),),
+    return register_grid(
+        GridSpec(
+            name="firewall-grid",
+            description="tracing on/off determinism fixture",
+            base="smoke",
+            axes=(("snr_db", (6.0, 12.0)),),
+        ),
+        replace=True,
     )
 
 
@@ -44,13 +48,14 @@ def _run_grid(
     spec: GridSpec, root, jobs: int, traced: bool
 ) -> CampaignContext:
     directory = root / "campaign"
+    config = get_scenario(spec.base).resolve()
     campaign = Campaign(
         f"grid[{spec.name}]",
-        grid_steps(spec, suite="quick"),
+        GridJob(grid=spec.name, suite="quick").steps(config),
         directory,
     )
     context = CampaignContext(
-        get_scenario(spec.base).resolve(),
+        config,
         DatasetCache(root / "cache"),
         directory,
         checkpoints=ModelCheckpointRegistry(root / "models"),

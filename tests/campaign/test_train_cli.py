@@ -7,7 +7,8 @@ import pytest
 from repro.campaign.cache import DatasetCache
 from repro.campaign.cli import main
 from repro.campaign.models import ModelCheckpointRegistry
-from repro.campaign.runner import Campaign, CampaignContext, train_steps
+from repro.api import TrainJob
+from repro.campaign.runner import Campaign, CampaignContext
 from repro.campaign.scenario import get_scenario
 from repro.errors import ConfigurationError
 
@@ -117,12 +118,16 @@ class _KillAfter(ModelCheckpointRegistry):
         return super().load_or_train(*args, **kwargs)
 
 
+#: The two-variant smoke training campaign killed and resumed below.
+_SPEC = TrainJob(scenario="smoke", combinations=2)
+
+
 class TestKillResume:
     def test_killed_run_resumes_at_unfinished_variant(self, tmp_path):
         config = get_scenario("smoke").resolve()
         cache = DatasetCache(tmp_path / "cache")
         directory = tmp_path / "campaign"
-        steps = train_steps(config, num_combinations=2)
+        steps = _SPEC.steps(config)
 
         killer = _KillAfter(tmp_path / "models", survive_calls=1)
         campaign = Campaign("train[test]", steps, directory)
@@ -137,7 +142,7 @@ class TestKillResume:
         # and only trains the one the kill interrupted.
         registry = ModelCheckpointRegistry(tmp_path / "models")
         campaign = Campaign(
-            "train[test]", train_steps(config, num_combinations=2), directory
+            "train[test]", _SPEC.steps(config), directory
         )
         context = CampaignContext(
             config, cache, directory, checkpoints=registry
@@ -153,7 +158,7 @@ class TestKillResume:
         # A third run is a pure manifest replay: nothing executes.
         replay_registry = ModelCheckpointRegistry(tmp_path / "models")
         campaign = Campaign(
-            "train[test]", train_steps(config, num_combinations=2), directory
+            "train[test]", _SPEC.steps(config), directory
         )
         context = CampaignContext(
             config, cache, directory, checkpoints=replay_registry
@@ -164,24 +169,10 @@ class TestKillResume:
 
 
 class TestTrainStepsValidation:
-    def test_requires_checkpoint_registry(self, tmp_path):
-        config = get_scenario("smoke").resolve()
-        cache = DatasetCache(tmp_path / "cache")
-        directory = tmp_path / "campaign"
-        campaign = Campaign(
-            "train[test]",
-            train_steps(config, num_combinations=1),
-            directory,
-        )
-        context = CampaignContext(config, cache, directory)
+    def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigurationError):
-            campaign.run(context)
-
-    def test_rejects_bad_arguments(self, tmp_path):
-        config = get_scenario("smoke").resolve()
+            TrainJob(scenario="smoke", combinations=0)
         with pytest.raises(ConfigurationError):
-            train_steps(config, num_combinations=0)
+            TrainJob(scenario="smoke", horizons=(-1,))
         with pytest.raises(ConfigurationError):
-            train_steps(config, horizons=(-1,))
-        with pytest.raises(ConfigurationError):
-            train_steps(config, horizons=())
+            TrainJob(scenario="smoke", horizons=())

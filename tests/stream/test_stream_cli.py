@@ -7,7 +7,8 @@ import pytest
 from repro.campaign.cache import DatasetCache
 from repro.campaign.cli import main
 from repro.campaign.models import ModelCheckpointRegistry
-from repro.campaign.runner import Campaign, CampaignContext, stream_steps
+from repro.api import StreamJob
+from repro.campaign.runner import Campaign, CampaignContext
 from repro.campaign.scenario import get_scenario
 from repro.errors import ConfigurationError
 
@@ -102,6 +103,10 @@ class _KillAfter(ModelCheckpointRegistry):
         raise KeyboardInterrupt("simulated mid-campaign kill")
 
 
+#: Two links, two policies, 12 slots: the campaign killed and resumed.
+_SPEC = StreamJob(links=2, slots=12, policies=("proactive", "reactive"))
+
+
 class TestKillResume:
     def test_killed_run_resumes_at_unfinished_step(self, tmp_path):
         config = get_scenario("stream-smoke").resolve()
@@ -114,9 +119,7 @@ class TestKillResume:
             "horizon": 0,
             "seed": 7,
         }
-        steps = stream_steps(
-            config, 2, ["proactive", "reactive"], slots=12
-        )
+        steps = _SPEC.steps(config)
 
         campaign = Campaign("stream[test]", steps, directory)
         context = CampaignContext(
@@ -138,7 +141,7 @@ class TestKillResume:
         registry = ModelCheckpointRegistry(tmp_path / "models")
         campaign = Campaign(
             "stream[test]",
-            stream_steps(config, 2, ["proactive", "reactive"], slots=12),
+            _SPEC.steps(config),
             directory,
         )
         context = CampaignContext(
@@ -158,7 +161,7 @@ class TestKillResume:
         # A third run is a pure manifest replay: nothing executes.
         campaign = Campaign(
             "stream[test]",
-            stream_steps(config, 2, ["proactive", "reactive"], slots=12),
+            _SPEC.steps(config),
             directory,
         )
         replay_registry = ModelCheckpointRegistry(tmp_path / "models")
@@ -177,24 +180,7 @@ class TestKillResume:
 
 class TestStreamStepsValidation:
     def test_rejects_unknown_and_empty_policies(self):
-        config = get_scenario("stream-smoke").resolve()
-        with pytest.raises(ConfigurationError, match="known policies"):
-            stream_steps(config, 2, ["alien"])
+        with pytest.raises(ConfigurationError, match="unknown value 'alien'"):
+            StreamJob(policies=("alien",))
         with pytest.raises(ConfigurationError):
-            stream_steps(config, 2, [])
-
-    def test_prediction_steps_require_registry(self, tmp_path):
-        config = get_scenario("stream-smoke").resolve()
-        campaign = Campaign(
-            "stream[test]",
-            stream_steps(config, 2, ["proactive"], slots=12),
-            tmp_path / "campaign",
-        )
-        context = CampaignContext(
-            config,
-            DatasetCache(tmp_path / "cache"),
-            tmp_path / "campaign",
-            options={"links": 2, "slots": 12},
-        )
-        with pytest.raises(ConfigurationError):
-            campaign.run(context)
+            StreamJob(policies=())

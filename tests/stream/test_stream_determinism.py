@@ -12,7 +12,8 @@ import pytest
 
 from repro.campaign.cache import DatasetCache
 from repro.campaign.models import ModelCheckpointRegistry
-from repro.campaign.runner import Campaign, CampaignContext, stream_steps
+from repro.api import StreamJob
+from repro.campaign.runner import Campaign, CampaignContext
 from repro.campaign.scenario import get_scenario
 
 _POLICIES = ["proactive", "reactive", "genie"]
@@ -28,7 +29,7 @@ def _run_campaign(config, directory, workers, model_dir, jobs=1):
     }
     campaign = Campaign(
         "stream[determinism]",
-        stream_steps(config, 2, _POLICIES, slots=20),
+        StreamJob(links=2, slots=20, policies=tuple(_POLICIES)).steps(config),
         directory,
     )
     context = CampaignContext(

@@ -1,8 +1,9 @@
 """Dataset-generation throughput: batched PHY engine vs scalar loop.
 
 Times ``generate_measurement_set`` on the default (reduced) campaign
-configuration with both processing engines, verifies the outputs match
-to 1e-10, and asserts the batched engine clears the 5x acceptance bar.
+configuration against the seed's packet-at-a-time loop
+(``tests/oracles/generator.py``), verifies the outputs match to 1e-10,
+and asserts the batched engine clears the 5x acceptance bar.
 Packets/second numbers are printed for the tracking table.
 
 ``REPRO_THROUGHPUT_FLOOR`` overrides the asserted speedup floor —
@@ -17,6 +18,7 @@ import numpy as np
 
 from repro.config import SimulationConfig
 from repro.dataset import build_components, generate_measurement_set
+from tests.oracles import generate_measurement_set_scalar
 from tools.bench_trajectory import append_entry
 
 _REPEATS = 3
@@ -24,9 +26,9 @@ _SPEEDUP_FLOOR = float(os.environ.get("REPRO_THROUGHPUT_FLOOR", 5.0))
 _TOL = 1e-10
 
 
-def _timed(components, engine: str) -> tuple[float, object]:
+def _timed(generate, components) -> tuple[float, object]:
     start = time.perf_counter()
-    result = generate_measurement_set(components, 0, engine=engine)
+    result = generate(components, 0)
     return time.perf_counter() - start, result
 
 
@@ -38,16 +40,20 @@ def test_dataset_throughput():
     batch_components = build_components(config)
     # One warm-up set amortizes the engine's template factorization the
     # way a real campaign (15+ sets per run) does.
-    generate_measurement_set(batch_components, 1, engine="batch")
+    generate_measurement_set(batch_components, 1)
 
     # Interleave the engines and keep per-engine minima so machine-load
     # drift hits both sides equally.
     scalar_time = batch_time = np.inf
     scalar_set = batch_set = None
     for _ in range(_REPEATS):
-        elapsed, scalar_set = _timed(scalar_components, "scalar")
+        elapsed, scalar_set = _timed(
+            generate_measurement_set_scalar, scalar_components
+        )
         scalar_time = min(scalar_time, elapsed)
-        elapsed, batch_set = _timed(batch_components, "batch")
+        elapsed, batch_set = _timed(
+            generate_measurement_set, batch_components
+        )
         batch_time = min(batch_time, elapsed)
 
     speedup = scalar_time / batch_time

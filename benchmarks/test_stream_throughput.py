@@ -3,7 +3,8 @@
 Times the :class:`~repro.stream.service.PredictionService` serving 64
 concurrent links of paper-size depth frames against the per-request
 serving layer the seed codebase implied: one forward per arriving frame
-through the reference (pre-im2col) conv engine.  The micro-batched
+through the reference (pre-im2col) conv engine of
+``tests/oracles/conv.py``.  The micro-batched
 service must clear ``REPRO_STREAM_FLOOR`` (default 1.8x; shared CI
 runners set a lower bar), and the measured numbers are appended to the
 merged benchmark trajectory (``tools/bench_trajectory.py``; default
@@ -30,8 +31,8 @@ from repro.core.model import build_vvd_cnn
 from repro.core.normalization import CIRNormalizer
 from repro.core.training import TrainedVVD
 from repro.nn import TrainingHistory
-from repro.nn.layers import Conv2D
 from repro.stream import PredictionService
+from tests.oracles import use_reference_convolutions
 from tools.bench_trajectory import append_entry
 
 _LINKS = 64
@@ -48,9 +49,8 @@ def _paper_size_service(conv_impl: str) -> PredictionService:
         VVDConfig(conv_filters=(32, 32, 64), dense_units=256),
         seed=0,
     )
-    for layer in model.layers:
-        if isinstance(layer, Conv2D):
-            layer.conv_impl = conv_impl
+    if conv_impl == "reference":
+        use_reference_convolutions(model)
     normalizer = CIRNormalizer()
     normalizer.scale = 1.0
     trained = TrainedVVD(

@@ -1,9 +1,10 @@
 """Training throughput: im2col conv engine vs the reference loop.
 
 Times one training epoch (mini-batch updates + validation evaluation) of
-the reduced-config VVD CNN with both Conv2D implementations and asserts
-the vectorized engine clears its speedup floors.  Two numbers are
-tracked:
+the reduced-config VVD CNN with the im2col ``Conv2D`` and with the
+seed's shifted-matmul convolution (``tests/oracles/conv.py``), and
+asserts the vectorized engine clears its speedup floors.  Two numbers
+are tracked:
 
 - **epoch speedup** — whole-epoch wall clock, reference vs im2col.  The
   seed's "reference" loop already lowered every kernel position to a
@@ -29,6 +30,7 @@ import numpy as np
 from repro.config import SimulationConfig
 from repro.core.model import build_vvd_cnn
 from repro.nn import Conv2D, MeanSquaredError, Nadam
+from tests.oracles import ReferenceConv2D, use_reference_convolutions
 from tools.bench_trajectory import append_entry
 
 _EPOCH_FLOOR = float(os.environ.get("REPRO_TRAIN_FLOOR", 1.5))
@@ -41,9 +43,8 @@ _NUM_VAL = 64
 
 def _model(config: SimulationConfig, impl: str):
     model = build_vvd_cnn((50, 90), 11, config.vvd, seed=0)
-    for layer in model.layers:
-        if isinstance(layer, Conv2D):
-            layer.conv_impl = impl
+    if impl == "reference":
+        use_reference_convolutions(model)
     return model
 
 
@@ -66,11 +67,8 @@ def _epoch_time(config, impl, x, y, x_val, y_val) -> float:
 
 def _first_conv_step_time(config, impl, x) -> float:
     rng = np.random.default_rng(1)
-    layer = Conv2D(
-        config.vvd.conv_filters[0],
-        config.vvd.kernel_size,
-        conv_impl=impl,
-    )
+    conv = ReferenceConv2D if impl == "reference" else Conv2D
+    layer = conv(config.vvd.conv_filters[0], config.vvd.kernel_size)
     layer.build((50, 90, 1), rng, np.float32)
     out = layer.forward(x[:_BATCH], training=True)
     grad = np.ones_like(out)

@@ -18,7 +18,7 @@ from ...config import SimulationConfig
 from ...errors import NotFoundError
 from ...experiments.bundle import EvaluationBundle, build_evaluation_bundle
 from ..jobs import NON_EMPTY, SCENARIO_HELP, JobSpec, Target, register
-from .common import dataset_step
+from .common import materialize
 
 #: Figures/tables a figure campaign renders (``repro figure``).
 FIGURE_NAMES = (
@@ -82,7 +82,15 @@ class FigureJob(JobSpec):
 
     def steps(self, config: SimulationConfig) -> list[CampaignStep]:
         """A ``dataset`` step and one ``figure:<name>`` step per figure."""
-        steps = [dataset_step("materialize cached dataset")]
+        steps = [
+            CampaignStep(
+                step_id="dataset",
+                description="materialize cached dataset",
+                # The bundle evaluates the sets with the components
+                # that generated them.
+                run=lambda ctx: materialize(ctx, ctx.config, components=True),
+            )
+        ]
         for name in self._figures():
             steps.append(
                 CampaignStep(
@@ -95,20 +103,24 @@ class FigureJob(JobSpec):
         return steps
 
     def _bundle(self, ctx: CampaignContext) -> EvaluationBundle:
-        """Build (once per run) the shared evaluation bundle."""
+        """Build (once per run) the shared evaluation bundle.
+
+        A ``dataset`` step that just generated the sets hands them over
+        with the components that generated them.
+        """
         bundle = ctx.shared.get("bundle")
         if bundle is None:
+            key = ctx.cache.key_for(ctx.config)
             bundle = build_evaluation_bundle(
                 ctx.config,
                 num_combinations=self.combinations,
                 verbose=ctx.verbose,
                 workers=ctx.workers,
                 cache=ctx.cache,
-                sets=ctx.shared.pop(
-                    f"sets:{ctx.cache.key_for(ctx.config)}", None
-                ),
+                sets=ctx.shared.pop(f"sets:{key}", None),
                 checkpoints=ctx.checkpoints,
                 vvd_seed=self.seed,
+                components=ctx.shared.pop(f"components:{key}", None),
             )
             ctx.shared["bundle"] = bundle
         return bundle

@@ -187,7 +187,7 @@ class StreamJob(JobSpec):
             CampaignStep(
                 step_id="links",
                 description=f"materialize {links} cached link trace(s)",
-                run=lambda ctx: materialize(ctx, derived),
+                run=lambda ctx: materialize(ctx, derived, components=True),
             )
         )
         stream_ids = []
@@ -284,15 +284,18 @@ class StreamJob(JobSpec):
 
         The traces resolve through the dataset cache: a completed
         ``links`` step is a pure cache hit, and a ``links`` step that
-        just generated the sets hands them over through the stash.
+        just generated the sets hands them over through the stash, with
+        the components that generated them.
         """
         from ...stream.simulator import StreamSimulator
 
         simulator = ctx.shared.get("stream-simulator")
         if simulator is None:
             derived = stream_link_config(ctx.config, links, slots=self.slots)
+            key = ctx.cache.key_for(derived)
+            components = ctx.shared.pop(f"components:{key}", None)
             simulator = StreamSimulator(
-                build_components(derived),
+                components or build_components(derived),
                 build_link_traces(
                     ctx.config,
                     links,
@@ -300,9 +303,7 @@ class StreamJob(JobSpec):
                     cache=ctx.cache,
                     workers=ctx.workers,
                     verbose=ctx.verbose,
-                    sets=ctx.shared.pop(
-                        f"sets:{ctx.cache.key_for(derived)}", None
-                    ),
+                    sets=ctx.shared.pop(f"sets:{key}", None),
                 ),
                 deadline_slots=self.deadline_slots,
                 round_deadline_s=self.round_deadline,

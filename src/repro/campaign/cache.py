@@ -3,7 +3,7 @@
 Every figure script used to regenerate its campaign from scratch; the
 cache keys each campaign by a stable hash of the *resolved*
 :class:`~repro.config.SimulationConfig` (every field, canonically
-serialized) plus the processing engine and a code-version salt, and
+serialized) plus a code-version salt, and
 stores the measurement sets as ``set_<k>.npz`` files under one
 directory per key.  Generation is
 resumable at set granularity: a killed campaign leaves its completed
@@ -97,22 +97,19 @@ def _canonical(value: object) -> object:
     )
 
 
-def config_fingerprint(
-    config: SimulationConfig, engine: str = "batch"
-) -> str:
+def config_fingerprint(config: SimulationConfig) -> str:
     """Stable 16-hex-digit content hash of a resolved configuration.
 
     Two campaigns share a fingerprint iff every config field (including
-    nested dataclasses and complex device responses) *and* the
-    processing engine are equal — the engines agree only to ``1e-10``,
-    so a ``scalar`` verification run must never be served
-    batch-generated floats.  The :data:`DATASET_CACHE_SALT` ties the key
-    to the generator version.
+    nested dataclasses and complex device responses) is equal.  The
+    :data:`DATASET_CACHE_SALT` ties the key to the generator version;
+    the constant ``"engine": "batch"`` entry dates from when a second,
+    scalar engine was keyed apart, and stays so that no key moves.
     """
     canonical = json.dumps(
         {
             "salt": DATASET_CACHE_SALT,
-            "engine": engine,
+            "engine": "batch",
             "config": _canonical(config),
         },
         sort_keys=True,
@@ -179,17 +176,13 @@ class DatasetCache:
         self.stats = CacheStats()
 
     # -- addressing -------------------------------------------------------
-    def key_for(
-        self, config: SimulationConfig, engine: str = "batch"
-    ) -> str:
-        """Cache key of a resolved configuration + processing engine."""
-        return config_fingerprint(config, engine=engine)
+    def key_for(self, config: SimulationConfig) -> str:
+        """Cache key of a resolved configuration."""
+        return config_fingerprint(config)
 
-    def entry_dir(
-        self, config: SimulationConfig, engine: str = "batch"
-    ) -> Path:
-        """Directory holding the campaign of ``config``/``engine``."""
-        return self.root / self.key_for(config, engine=engine)
+    def entry_dir(self, config: SimulationConfig) -> Path:
+        """Directory holding the campaign of ``config``."""
+        return self.root / self.key_for(config)
 
     def _set_path(self, directory: Path, set_index: int) -> Path:
         return directory / f"set_{set_index:02d}.npz"
@@ -266,11 +259,9 @@ class DatasetCache:
                 "not be parsed"
             ) from exc
 
-    def has(
-        self, config: SimulationConfig, engine: str = "batch"
-    ) -> bool:
+    def has(self, config: SimulationConfig) -> bool:
         """Whether every measurement set of ``config`` is cached."""
-        directory = self.entry_dir(config, engine=engine)
+        directory = self.entry_dir(config)
         return all(
             self._set_path(directory, i).exists()
             for i in range(config.dataset.num_sets)
@@ -281,7 +272,6 @@ class DatasetCache:
         self,
         config: SimulationConfig,
         workers: int | None = None,
-        engine: str = "batch",
         verbose: bool = False,
         force: bool = False,
         components: SimulationComponents | None = None,
@@ -292,20 +282,18 @@ class DatasetCache:
         from ``.npz``); anything else is a *miss* and the missing sets
         are simulated — over a process pool of ``workers`` when given —
         and persisted before the call returns.  ``force=True`` discards
-        any cached entry first.  Entries are keyed per ``engine``, so a
-        ``scalar`` verification campaign is never served batch-generated
-        data (or vice versa).  The returned list is ordered by set index
+        any cached entry first.  The returned list is ordered by set index
         and numerically identical to a fresh
         :func:`~repro.dataset.generator.generate_dataset` run.
         ``components`` (built from ``config``) serve in-process
         generation, so a caller that evaluates the sets next builds them
         once; pool workers build their own.
         """
-        directory = self.entry_dir(config, engine=engine)
+        directory = self.entry_dir(config)
         if force and directory.exists():
             shutil.rmtree(directory)
         num_sets = config.dataset.num_sets
-        key = self.key_for(config, engine=engine)
+        key = self.key_for(config)
         if faults.active_plan() is not None:
             faults.inject("cache.load", key)
             for i in range(num_sets):
@@ -353,7 +341,7 @@ class DatasetCache:
         self.stats.misses += 1
         if verbose:
             log.info(
-                f"cache miss {self.key_for(config, engine=engine)}: "
+                f"cache miss {key}: "
                 f"generating {len(missing)}/{num_sets} set(s)"
             )
         directory.mkdir(parents=True, exist_ok=True)
@@ -369,10 +357,7 @@ class DatasetCache:
                     initializer=lifetime.die_with_parent,
                 ) as pool:
                     for measurement_set in pool.map(
-                        _generate_set_task,
-                        [config] * len(missing),
-                        missing,
-                        [engine] * len(missing),
+                        _generate_set_task, [config] * len(missing), missing
                     ):
                         generated[measurement_set.index] = (
                             measurement_set
@@ -381,7 +366,7 @@ class DatasetCache:
                 components = components or build_components(config)
                 for set_index in missing:
                     generated[set_index] = generate_measurement_set(
-                        components, set_index, engine=engine
+                        components, set_index
                     )
         with trace.span("cache.store", key=key, sets=len(generated)):
             for set_index, measurement_set in generated.items():
@@ -389,7 +374,7 @@ class DatasetCache:
                     directory, set_index, measurement_set
                 )
         self.stats.sets_generated += len(missing)
-        self._write_meta(directory, config, engine)
+        self._write_meta(directory, config)
 
         sets = []
         for set_index in range(num_sets):
@@ -404,9 +389,7 @@ class DatasetCache:
                     # Torn under our feet between verification and
                     # load (racing writer): regenerate just this set.
                     regenerated = generate_measurement_set(
-                        components or build_components(config),
-                        set_index,
-                        engine=engine,
+                        components or build_components(config), set_index
                     )
                     self._atomic_save(
                         directory, set_index, regenerated
@@ -436,9 +419,7 @@ class DatasetCache:
             self._digest_path(directory, set_index), digest + "\n"
         )
 
-    def _write_meta(
-        self, directory: Path, config: SimulationConfig, engine: str
-    ) -> None:
+    def _write_meta(self, directory: Path, config: SimulationConfig) -> None:
         """Write the entry's ``meta.json`` index record.
 
         Guarded by the entry's sidecar lock: two workers finishing the
@@ -447,9 +428,9 @@ class DatasetCache:
         of interleaving temp-file writes.
         """
         meta = {
-            "key": self.key_for(config, engine=engine),
+            "key": self.key_for(config),
             "salt": DATASET_CACHE_SALT,
-            "engine": engine,
+            "engine": "batch",
             "num_sets": config.dataset.num_sets,
             "packets_per_set": config.dataset.packets_per_set,
             "created": time.time(),
@@ -502,7 +483,6 @@ class DatasetCache:
         self,
         config: SimulationConfig | None = None,
         key: str | None = None,
-        engine: str = "batch",
     ) -> int:
         """Remove one cached campaign (by config or key); returns 1 or 0.
 
@@ -516,7 +496,7 @@ class DatasetCache:
                 "invalidate() needs exactly one of config= or key="
             )
         if config is not None:
-            key = self.key_for(config, engine=engine)
+            key = self.key_for(config)
         else:
             key = str(key)
             if len(key) != 16 or any(

@@ -205,15 +205,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     config = scenario.resolve()
     cache = DatasetCache(args.cache_dir)
     sets = cache.load_or_generate(
-        config,
-        workers=args.workers,
-        engine=args.engine,
-        verbose=args.verbose,
-        force=args.force,
+        config, workers=args.workers, verbose=args.verbose, force=args.force
     )
     log.info(
         f"scenario {scenario.name!r}: {len(sets)} set(s) ready under "
-        f"{cache.entry_dir(config, engine=args.engine)}"
+        f"{cache.entry_dir(config)}"
     )
     log.info(f"cache: {cache.stats.summary()}")
     return 0
@@ -391,12 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_generate.add_argument(
         "--scenario", default="reduced", help="scenario preset name"
-    )
-    p_generate.add_argument(
-        "--engine",
-        choices=("batch", "scalar"),
-        default="batch",
-        help="packet-processing engine",
     )
     p_generate.add_argument(
         "--force",

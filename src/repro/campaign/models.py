@@ -74,13 +74,12 @@ def model_fingerprint(
     validation_indices: Sequence[int],
     horizon_frames: int = 0,
     seed: int = 7,
-    engine: str = "batch",
 ) -> str:
     """Stable 16-hex-digit content hash of one trained-model identity.
 
     Two trainings share a fingerprint iff they consume the same cached
-    measurement sets (``config`` + ``engine`` — the dataset cache key —
-    plus the split's set indices) with the same VVD hyper-parameters,
+    measurement sets (the dataset cache key of ``config`` plus the
+    split's set indices) with the same VVD hyper-parameters,
     prediction horizon and seed.  Training-set *order* is part of the
     key: samples are concatenated in set order before the seeded
     shuffle, so a permuted split trains a (slightly) different model
@@ -96,7 +95,7 @@ def model_fingerprint(
     canonical = json.dumps(
         {
             "salt": MODEL_CACHE_SALT,
-            "dataset_key": config_fingerprint(config, engine=engine),
+            "dataset_key": config_fingerprint(config),
             "vvd": _canonical(config.vvd),
             "num_taps": config.channel.num_taps,
             "training": [int(i) for i in training_indices],
@@ -162,7 +161,6 @@ class ModelCheckpointRegistry:
         validation_sets: Sequence[MeasurementSet],
         horizon_frames: int = 0,
         seed: int = 7,
-        engine: str = "batch",
     ) -> str:
         """Registry key of one training run over already-loaded sets."""
         return model_fingerprint(
@@ -171,7 +169,6 @@ class ModelCheckpointRegistry:
             [s.index for s in validation_sets],
             horizon_frames=horizon_frames,
             seed=seed,
-            engine=engine,
         )
 
     def entry_dir(self, key: str) -> Path:
@@ -192,7 +189,6 @@ class ModelCheckpointRegistry:
         seed: int = 7,
         verbose: bool = False,
         force: bool = False,
-        engine: str = "batch",
     ) -> TrainedVVD:
         """Return the trained model of this split, training only on miss.
 
@@ -200,10 +196,7 @@ class ModelCheckpointRegistry:
         bit-identically; anything else is a *miss* — the model is
         trained with :func:`~repro.core.training.train_vvd` and
         persisted (atomically) before the call returns.  ``force=True``
-        discards any cached checkpoint first.  ``engine`` must name the
-        dataset engine the sets were generated with (the engines agree
-        only to 1e-10, so a model trained on ``scalar`` data must never
-        be served for a ``batch`` key, or vice versa).
+        discards any cached checkpoint first.
         """
         key = self.key_for(
             config,
@@ -211,7 +204,6 @@ class ModelCheckpointRegistry:
             validation_sets,
             horizon_frames=horizon_frames,
             seed=seed,
-            engine=engine,
         )
         directory = self.entry_dir(key)
         if force and directory.exists():

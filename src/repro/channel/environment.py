@@ -21,7 +21,7 @@ from ..config import ChannelConfig, PhyConfig, RoomConfig
 from ..dsp.taps import fractional_delay_taps, synthesize_taps
 from ..errors import ShapeError
 from .blockage import path_blockage_factor, path_blockage_factor_batch
-from .geometry import path_clearance, path_clearance_batch
+from .geometry import path_clearance_batch
 from .multipath import (
     PropagationPath,
     build_static_paths,
@@ -256,7 +256,12 @@ class IndoorEnvironment:
         return self._scale * (geometric @ device_matrix)
 
     def los_clearance_batch(self, humans_xy) -> np.ndarray:
-        """Vectorized :meth:`los_clearance` over ``(P, 2)`` positions."""
+        """Horizontal clearance between each human and the LoS path.
+
+        ``(P, 2)`` positions in, ``(P,)`` clearances in metres out; a
+        clearance within the body radius blocks the LoS
+        (:meth:`los_blocked_from_clearance`, the Fig. 1b scenario).
+        """
         return path_clearance_batch(
             np.asarray(self.static_paths[0].points, dtype=np.float64),
             np.asarray(humans_xy, dtype=np.float64),
@@ -282,20 +287,6 @@ class IndoorEnvironment:
             axis=1,
         )
         return clearances.min(axis=1)
-
-    def los_clearance(self, human_xy) -> float:
-        """Horizontal clearance between the human and the LoS path."""
-        return path_clearance(
-            np.asarray(self.static_paths[0].points, dtype=np.float64),
-            np.asarray(human_xy, dtype=np.float64),
-            self.channel.human_height_m,
-        )
-
-    def is_los_blocked(self, human_xy) -> bool:
-        """Whether the human body intersects the LoS (Fig. 1b scenario)."""
-        return self.los_blocked_from_clearance(
-            self.los_clearance(human_xy)
-        )
 
     def los_blocked_from_clearance(self, clearance_m: float) -> bool:
         """The blockage criterion applied to a precomputed clearance."""

@@ -63,11 +63,6 @@ class PhyConfig:
         return self.chip_rate_hz * self.samples_per_chip
 
     @property
-    def chip_period_s(self) -> float:
-        """Duration of one chip (0.5 us at 2 Mchip/s)."""
-        return 1.0 / self.chip_rate_hz
-
-    @property
     def carrier_frequency_hz(self) -> float:
         """Centre frequency of the configured 802.15.4 channel.
 

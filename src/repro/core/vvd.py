@@ -44,7 +44,6 @@ class VVDEstimator(ChannelEstimator):
         name: str | None = None,
         verbose: bool = False,
         checkpoints: "ModelCheckpointRegistry | None" = None,
-        engine: str = "batch",
     ) -> None:
         self.horizon_frames = horizon_frames
         self.seed = seed
@@ -56,13 +55,6 @@ class VVDEstimator(ChannelEstimator):
         #: resolving :meth:`prepare` through content-addressed
         #: checkpoints instead of always retraining.
         self.checkpoints = checkpoints
-        #: Dataset engine the training sets were generated with; part of
-        #: the checkpoint key (scalar- and batch-generated sets agree
-        #: only to 1e-10, so their models must never be interchanged).
-        #: Every orchestrated path (campaign CLI, bundle) trains from
-        #: batch-generated sets; pass ``"scalar"`` when preparing on
-        #: hand-built scalar-engine sets with a registry attached.
-        self.engine = engine
         self.trained: TrainedVVD | None = None
         self._max_depth: float | None = None
         self._cache: dict[tuple[int, int], np.ndarray] = {}
@@ -79,7 +71,6 @@ class VVDEstimator(ChannelEstimator):
                 horizon_frames=self.horizon_frames,
                 seed=self.seed,
                 verbose=self.verbose,
-                engine=self.engine,
             )
         else:
             self.trained = train_vvd(

@@ -19,7 +19,6 @@ from .generator import (
     build_components,
     generate_dataset,
     generate_measurement_set,
-    synthesize_received,
     synthesize_received_batch,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "build_components",
     "generate_dataset",
     "generate_measurement_set",
-    "synthesize_received",
     "synthesize_received_batch",
 ]

@@ -9,19 +9,18 @@ records what the paper's pipeline extracts from the USRP trace: the
 whole-packet LS estimate (perfect estimate), the SHR-region LS estimate,
 the preamble-detection outcome, and the LED-matched camera frame.
 
-Raw waveforms are not stored; :func:`synthesize_received` re-creates them
-bit-exactly from the recorded noise seed and crystal phase.
+Raw waveforms are not stored; :func:`synthesize_received_batch`
+re-creates them bit-exactly from the recorded noise seeds and crystal
+phases.
 
-Two processing engines are provided.  ``engine="batch"`` (default) runs
-the whole packet loop through the vectorized PHY engine
+The packet loop runs through the vectorized PHY engine
 (:mod:`repro.phy.batch`): one template matmul synthesizes every clean
 waveform, the LS normal equations are solved from shared template
 correlations plus sparse per-packet corrections, and synchronization,
 preamble estimation and phase canonicalization operate on ``(P,
-samples)`` matrices.  ``engine="scalar"`` preserves the original
-packet-at-a-time loop for verification and benchmarking; both engines
-produce matching measurement sets (noise seeds and trajectories are
-bit-identical, estimates agree to numerical precision).
+samples)`` matrices.  The seed's packet-at-a-time loop lives on as the
+test oracle ``tests/oracles/generator.py``, which draws the same seeds
+and trajectories and matches every estimate to ``1e-10``.
 """
 
 from __future__ import annotations
@@ -33,16 +32,15 @@ import numpy as np
 
 from .. import blas, lifetime
 from ..channel import IndoorEnvironment, build_walkers
-from ..channel.noise import awgn, noise_power_for_snr
+from ..channel.noise import noise_power_for_snr
 from ..config import SimulationConfig
-from ..dsp.phase import canonicalize_phase, canonicalize_phase_batch
+from ..dsp.phase import canonicalize_phase_batch
 from ..errors import ConfigurationError
 from ..obs import log
 from ..phy.batch import get_batch_engine
 from ..phy.receiver import Receiver
 from ..phy.transmitter import Transmitter
 from ..vision.camera import DepthCamera
-from ..vision.preprocessing import preprocess_depth
 from ..vision.synchronization import FrameTimeline, match_packet_to_frame
 from .trace import MeasurementSet, PacketRecord
 
@@ -82,34 +80,19 @@ def build_components(config: SimulationConfig) -> SimulationComponents:
     )
 
 
-def synthesize_received(
-    components: SimulationComponents,
-    record: PacketRecord,
-    waveform: np.ndarray | None = None,
-) -> np.ndarray:
-    """Re-create the received samples of a recorded packet bit-exactly."""
-    if waveform is None:
-        waveform = components.transmitter.transmit(
-            record.sequence_number
-        ).waveform
-    clean = np.convolve(waveform, record.h_true)
-    rotated = clean * np.exp(1j * record.phase_offset)
-    noise_rng = np.random.default_rng(record.noise_seed)
-    return rotated + awgn(noise_rng, len(rotated), record.noise_power)
-
-
 def synthesize_received_batch(
     components: SimulationComponents,
     records: list[PacketRecord],
     reuse_buffer: bool = False,
 ) -> np.ndarray:
-    """Batched :func:`synthesize_received` for same-length packet records.
+    """Re-create the received samples of same-length packet records.
 
-    Returns a ``(P, samples)`` matrix whose rows match the scalar
-    function per record (identical per-seed noise realizations; the
-    clean convolution agrees to numerical precision).  With
-    ``reuse_buffer=True`` the matrix aliases engine scratch that the
-    next batched synthesis overwrites.
+    Returns a ``(P, samples)`` matrix, one row per record: the clean
+    waveform through ``h_true``, rotated by the crystal phase, plus the
+    AWGN that the record's seed draws (identical per-seed noise
+    realizations; the clean convolution matches ``np.convolve`` to
+    numerical precision).  With ``reuse_buffer=True`` the matrix
+    aliases engine scratch that the next batched synthesis overwrites.
     """
     if not records:
         raise ConfigurationError("synthesize_received_batch needs records")
@@ -150,8 +133,8 @@ def _empty_records(
     """Per-packet records with synthesis parameters but no estimates yet.
 
     Draws the per-packet crystal phases and noise seeds in the exact
-    order of the original scalar loop so stored campaigns replay
-    bit-identically regardless of the processing engine.
+    order of the seed's packet-at-a-time loop, so stored campaigns
+    replay bit-identically.
     """
     config = components.config
     interval = config.dataset.packet_interval_s
@@ -192,31 +175,6 @@ def _empty_records(
             )
         )
     return records
-
-
-def _process_packets_scalar(
-    components: SimulationComponents, records: list[PacketRecord]
-) -> None:
-    """Original packet-at-a-time estimation loop (seed behaviour)."""
-    num_taps = components.config.channel.num_taps
-    for record in records:
-        packet = components.transmitter.transmit(record.sequence_number)
-        received = synthesize_received(components, record, packet.waveform)
-        record.h_ls = components.receiver.full_ls_estimate(
-            received, packet.waveform, num_taps
-        )
-        record.h_ls_canonical, record.phase_to_canonical = canonicalize_phase(
-            record.h_ls, components.phase_reference
-        )
-        record.h_preamble = components.receiver.preamble_ls_estimate(
-            received, num_taps
-        )
-        record.h_preamble_canonical, _ = canonicalize_phase(
-            record.h_preamble, components.phase_reference
-        )
-        detected, metric = components.receiver.detect_preamble(received)
-        record.preamble_detected = detected
-        record.preamble_metric = metric
 
 
 def _process_packets_batch(
@@ -267,25 +225,16 @@ def _process_packets_batch(
             record.preamble_metric = float(metrics[row])
 
 
-@blas.single_threaded()
-def generate_measurement_set(
-    components: SimulationComponents,
-    set_index: int,
-    engine: str = "batch",
-) -> MeasurementSet:
-    """Simulate one measurement take.
+def _walk(
+    components: SimulationComponents, set_index: int
+) -> tuple[FrameTimeline, np.ndarray, np.ndarray, np.random.Generator]:
+    """The take's frame timeline, walker positions and packet stream.
 
-    ``engine="batch"`` (default) runs the vectorized PHY engine;
-    ``engine="scalar"`` keeps the original per-packet loop.  Both produce
-    equivalent sets (identical seeds/trajectories, estimates matching to
-    numerical precision).  Runs on one BLAS thread
-    (:func:`repro.blas.single_threaded`), so a set's bits do not depend
-    on which process generates it.
+    Returns ``(timeline, frame_positions, packet_positions,
+    packet_rng)``: every walker's position at each frame time ``(F, H,
+    2)`` and at each packet time ``(P, H, 2)``, and the generator that
+    draws the per-packet crystal phases and noise seeds.
     """
-    if engine not in ("batch", "scalar"):
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected 'batch' or 'scalar'"
-        )
     config = components.config
     interval = config.dataset.packet_interval_s
     num_packets = config.dataset.packets_per_set
@@ -303,47 +252,19 @@ def generate_measurement_set(
         (config.seed, 101, set_index),
         duration_s=duration,
     )
-    multi_human = len(walkers) > 1
     packet_rng = np.random.default_rng([config.seed, 202, set_index])
-
-    # -- camera frames ----------------------------------------------------
     frame_interval = config.camera.frame_interval_s
-    num_frames = int(np.ceil(duration / frame_interval))
     timeline = FrameTimeline(
-        num_frames=num_frames, frame_interval_s=frame_interval
+        num_frames=int(np.ceil(duration / frame_interval)),
+        frame_interval_s=frame_interval,
     )
-    frame_times = timeline.timestamps
-    human_positions = np.stack(
+    frame_positions = np.stack(
         [
             [walker.position_at(float(t)) for walker in walkers]
-            for t in frame_times
+            for t in timeline.timestamps
         ]
-    )  # (F, H, 2)
-    rows, cols = config.camera.output_shape
-    top, left = config.camera.crop_top, config.camera.crop_left
-    if multi_human:
-        rendered = components.camera.render_multi_batch(human_positions)
-        frames = rendered[
-            :, top : top + rows, left : left + cols
-        ].astype(np.float32)
-    elif engine == "batch":
-        rendered = components.camera.render_batch(human_positions[:, 0])
-        # Batched equivalent of per-frame preprocess_depth (pure crop).
-        frames = rendered[
-            :, top : top + rows, left : left + cols
-        ].astype(np.float32)
-    else:
-        frames = np.stack(
-            [
-                preprocess_depth(
-                    components.camera.render(position), config.camera
-                ).astype(np.float32)
-                for position in human_positions[:, 0]
-            ]
-        )
-
-    # -- packets ------------------------------------------------------------
-    packet_positions_all = np.stack(
+    )
+    packet_positions = np.stack(
         [
             [
                 walker.position_at((k + 1) * interval)
@@ -351,59 +272,65 @@ def generate_measurement_set(
             ]
             for k in range(num_packets)
         ]
-    )  # (P, H, 2)
-    packet_positions = packet_positions_all[:, 0]
+    )
+    return timeline, frame_positions, packet_positions, packet_rng
+
+
+@blas.single_threaded()
+def generate_measurement_set(
+    components: SimulationComponents, set_index: int
+) -> MeasurementSet:
+    """Simulate one measurement take.
+
+    Renders every frame, computes every packet's CIR and LoS clearance
+    in one batched call each, and estimates the packets in chunks
+    through the batch PHY engine.  Runs on one BLAS thread
+    (:func:`repro.blas.single_threaded`), so a set's bits do not depend
+    on which process generates it.
+    """
+    config = components.config
+    timeline, frame_positions, packet_positions, packet_rng = _walk(
+        components, set_index
+    )
+    multi_human = frame_positions.shape[1] > 1
+    camera = components.camera
+    environment = components.environment
     if multi_human:
-        # The multi-body CIR/clearance is only implemented vectorized;
-        # both engines share it (the engine flag governs packet-estimate
-        # processing, not channel synthesis).
-        channels = components.environment.cir_multi_batch(
-            packet_positions_all
-        )
-        clearances = components.environment.los_clearance_multi_batch(
-            packet_positions_all
-        )
-    elif engine == "batch":
-        channels = components.environment.cir_batch(packet_positions)
-        clearances = components.environment.los_clearance_batch(
+        rendered = camera.render_multi_batch(frame_positions)
+        channels = environment.cir_multi_batch(packet_positions)
+        clearances = environment.los_clearance_multi_batch(
             packet_positions
         )
     else:
-        channels = np.stack(
-            [
-                components.environment.cir(position)
-                for position in packet_positions
-            ]
+        rendered = camera.render_batch(frame_positions[:, 0])
+        channels = environment.cir_batch(packet_positions[:, 0])
+        clearances = environment.los_clearance_batch(
+            packet_positions[:, 0]
         )
-        clearances = np.array(
-            [
-                components.environment.los_clearance(position)
-                for position in packet_positions
-            ]
-        )
+    rows, cols = config.camera.output_shape
+    top, left = config.camera.crop_top, config.camera.crop_left
     records = _empty_records(
         components,
         set_index,
         timeline,
         packet_rng,
-        packet_positions,
+        packet_positions[:, 0],
         channels,
         clearances,
     )
-    if engine == "batch":
-        _process_packets_batch(components, records)
-    else:
-        _process_packets_scalar(components, records)
+    _process_packets_batch(components, records)
 
     measurement_set = MeasurementSet(
         index=set_index,
         packets=records,
-        frames=frames,
-        frame_times=frame_times,
+        frames=rendered[:, top : top + rows, left : left + cols].astype(
+            np.float32
+        ),
+        frame_times=timeline.timestamps,
         # Single-human campaigns keep the historical (F, 2) layout;
         # multi-human scenarios store every walker as (F, H, 2).
         human_positions=(
-            human_positions if multi_human else human_positions[:, 0]
+            frame_positions if multi_human else frame_positions[:, 0]
         ),
     )
     measurement_set.validate()
@@ -415,15 +342,13 @@ _WORKER_STATE: dict = {}
 
 
 def _generate_set_task(
-    config: SimulationConfig, set_index: int, engine: str
+    config: SimulationConfig, set_index: int
 ) -> MeasurementSet:
     """Process-pool task: build components once per worker, then simulate."""
     if _WORKER_STATE.get("config") != config:
         _WORKER_STATE["config"] = config
         _WORKER_STATE["components"] = build_components(config)
-    return generate_measurement_set(
-        _WORKER_STATE["components"], set_index, engine=engine
-    )
+    return generate_measurement_set(_WORKER_STATE["components"], set_index)
 
 
 def generate_dataset(
@@ -431,7 +356,6 @@ def generate_dataset(
     components: SimulationComponents | None = None,
     verbose: bool = False,
     workers: int | None = None,
-    engine: str = "batch",
 ) -> list[MeasurementSet]:
     """Simulate the full campaign (``config.dataset.num_sets`` takes).
 
@@ -452,8 +376,6 @@ def generate_dataset(
         object is only used by the serial path, so don't combine
         ``workers`` with components that differ from
         ``build_components(config)``.
-    engine:
-        Packet-processing engine, ``"batch"`` (default) or ``"scalar"``.
     """
     num_sets = config.dataset.num_sets
     if workers is not None and workers > 1 and num_sets > 1:
@@ -465,10 +387,7 @@ def generate_dataset(
         ) as pool:
             sets = list(
                 pool.map(
-                    _generate_set_task,
-                    [config] * num_sets,
-                    range(num_sets),
-                    [engine] * num_sets,
+                    _generate_set_task, [config] * num_sets, range(num_sets)
                 )
             )
         if verbose:
@@ -479,9 +398,7 @@ def generate_dataset(
     components = components or build_components(config)
     sets = []
     for set_index in range(num_sets):
-        sets.append(
-            generate_measurement_set(components, set_index, engine=engine)
-        )
+        sets.append(generate_measurement_set(components, set_index))
         if verbose:
             _print_set_summary(sets[-1], num_sets)
     return sets

@@ -1,8 +1,9 @@
 """Persistence of measurement sets (npz).
 
 The paper publishes its trace; this module provides the equivalent
-serialization for the simulated campaign so expensive datasets can be
-generated once and reloaded by examples/benchmarks.
+serialization for the simulated campaign: one ``.npz`` per measurement
+set, which :class:`~repro.campaign.cache.DatasetCache` stores under
+its content-addressed keys and loads back bit-identically.
 """
 
 from __future__ import annotations
@@ -110,24 +111,3 @@ def load_measurement_set(path) -> MeasurementSet:
     measurement_set.validate()
     return measurement_set
 
-
-def save_dataset(sets: list[MeasurementSet], directory) -> list[Path]:
-    """Save a whole campaign as ``set_<k>.npz`` files."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for measurement_set in sets:
-        path = directory / f"set_{measurement_set.index:02d}.npz"
-        save_measurement_set(measurement_set, path)
-        paths.append(path)
-    return paths
-
-
-def load_dataset(directory) -> list[MeasurementSet]:
-    """Load every ``set_*.npz`` in a directory, ordered by set index."""
-    directory = Path(directory)
-    files = sorted(directory.glob("set_*.npz"))
-    if not files:
-        raise DatasetError(f"no set_*.npz files in {directory}")
-    sets = [load_measurement_set(path) for path in files]
-    return sorted(sets, key=lambda s: s.index)

@@ -4,7 +4,8 @@ The paper's public dataset stores raw signal samples, 11-tap LS estimates
 and camera images per packet.  We store everything *except* the raw
 waveform — per-packet noise seeds and phase offsets allow bit-exact
 re-synthesis on demand (see :func:`repro.dataset.generator.
-synthesize_received`), keeping a 15-set campaign in tens of megabytes.
+synthesize_received_batch`), keeping a 15-set campaign in tens of
+megabytes.
 """
 
 from __future__ import annotations

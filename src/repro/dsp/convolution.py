@@ -1,4 +1,4 @@
-"""Convolution-matrix construction (paper Eq. 5) and FFT correlation helpers.
+"""Convolution-matrix construction (paper Eq. 5) and FFT cross-correlation.
 
 The linear system behind both channel estimation (Eq. 4) and zero-forcing
 equalizer design (Eq. 7) is expressed through the tall banded Toeplitz
@@ -46,8 +46,9 @@ def cross_correlate_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``len(a) - 1``.
     """
     # Deferred: ``scipy.signal`` costs ~1 s to import, and only the
-    # scalar engine (``engine="scalar"``) and the scalar oracles reach
-    # this helper; the batched receiver never does.
+    # scalar decoders (``Receiver.synchronize`` under
+    # ``decode_standard``) and the test oracles reach this helper; the
+    # batched receiver never does.
     from scipy.signal import fftconvolve
 
     a = np.asarray(a)
@@ -56,18 +57,3 @@ def cross_correlate_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError("cross_correlate_full expects 1-D inputs")
     return fftconvolve(a, np.conj(b[::-1]), mode="full")
 
-
-def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Autocorrelation ``r[k] = sum_m x[m] conj(x[m - k])`` for k=0..max_lag.
-
-    Used to assemble the normal-equation Toeplitz matrix of the LS channel
-    estimate and the Yule-Walker system of the Kalman tracker.
-    """
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ShapeError("autocorrelation expects a 1-D input")
-    if max_lag < 0:
-        raise ShapeError(f"max_lag must be >= 0, got {max_lag}")
-    full = cross_correlate_full(x, x)
-    zero = len(x) - 1
-    return full[zero : zero + max_lag + 1]

@@ -29,36 +29,3 @@ def complex_mse(estimate: np.ndarray, reference: np.ndarray) -> float:
     diff = estimate - reference
     return float(np.mean(np.abs(diff) ** 2))
 
-
-def normalized_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """``|<a, b>| / (||a|| ||b||)`` in [0, 1]; 1 iff collinear.
-
-    Used by the preamble detector: the received preamble window is
-    correlated against the clean reference waveform and detection succeeds
-    when the normalized peak exceeds a threshold.
-    """
-    a = np.asarray(a, dtype=np.complex128).ravel()
-    b = np.asarray(b, dtype=np.complex128).ravel()
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    denom = np.linalg.norm(a) * np.linalg.norm(b)
-    if denom == 0:
-        return 0.0
-    return float(np.abs(np.vdot(b, a)) / denom)
-
-
-def error_vector_magnitude(received: np.ndarray, reference: np.ndarray) -> float:
-    """RMS EVM of an equalized constellation against its reference."""
-    received = np.asarray(received, dtype=np.complex128).ravel()
-    reference = np.asarray(reference, dtype=np.complex128).ravel()
-    if received.shape != reference.shape:
-        raise ShapeError(
-            f"shape mismatch: {received.shape} vs {reference.shape}"
-        )
-    if received.size == 0:
-        raise ShapeError("EVM of empty vectors is undefined")
-    ref_power = np.mean(np.abs(reference) ** 2)
-    if ref_power == 0:
-        raise ShapeError("reference power is zero")
-    err_power = np.mean(np.abs(received - reference) ** 2)
-    return float(np.sqrt(err_power / ref_power))

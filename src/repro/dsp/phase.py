@@ -15,23 +15,6 @@ import numpy as np
 from ..errors import ShapeError
 
 
-def estimate_phase_shift(h_current: np.ndarray, h_reference: np.ndarray) -> float:
-    """Mean phase difference between two channel estimates (Eq. 8).
-
-    Returns ``theta`` such that ``h_current ~ exp(j theta) * h_reference``.
-    """
-    h_current = np.asarray(h_current, dtype=np.complex128)
-    h_reference = np.asarray(h_reference, dtype=np.complex128)
-    if h_current.shape != h_reference.shape:
-        raise ShapeError(
-            f"estimate shapes differ: {h_current.shape} vs {h_reference.shape}"
-        )
-    inner = np.sum(h_current * np.conj(h_reference))
-    if inner == 0:
-        return 0.0
-    return float(np.angle(inner))
-
-
 def estimate_waveform_phase_shift(
     y_window: np.ndarray,
     x_window: np.ndarray,
@@ -70,7 +53,11 @@ def correct_phase(h: np.ndarray, theta: float) -> np.ndarray:
 def estimate_phase_shift_batch(
     h_batch: np.ndarray, h_reference: np.ndarray
 ) -> np.ndarray:
-    """Row-wise Eq. 8 phase against one shared reference estimate."""
+    """Row-wise mean phase difference (Eq. 8) against one reference.
+
+    Returns ``theta[p]`` such that ``h_batch[p] ~ exp(j theta[p]) *
+    h_reference``; a row orthogonal to the reference gets ``0``.
+    """
     h_batch = np.asarray(h_batch, dtype=np.complex128)
     h_reference = np.asarray(h_reference, dtype=np.complex128)
     if h_batch.ndim != 2 or h_batch.shape[1] != h_reference.shape[0]:
@@ -87,26 +74,16 @@ def estimate_phase_shift_batch(
 def canonicalize_phase_batch(
     h_batch: np.ndarray, reference: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`canonicalize_phase` against one shared reference.
+    """Rotate every row of ``h_batch`` onto the phase plane of ``reference``.
 
-    Returns ``(h_canonical, thetas)`` with shapes ``(P, taps)`` and
-    ``(P,)``.
+    The dataset stores every LS estimate rotated onto a fixed reference
+    so that per-packet crystal phases do not poison learning targets or
+    AR correlation fits (Sec. 3.1).  Returns ``(h_canonical, thetas)``
+    with shapes ``(P, taps)`` and ``(P,)``: ``h_canonical = exp(-j
+    theta) * h`` where ``theta`` is Eq. 8 of the row against the
+    reference.
     """
     thetas = estimate_phase_shift_batch(h_batch, reference)
     rotated = h_batch * np.exp(-1j * thetas)[:, None]
     return rotated, thetas
 
-
-def canonicalize_phase(
-    h: np.ndarray, reference: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Rotate ``h`` onto the phase plane of ``reference``.
-
-    The dataset stores every LS estimate rotated onto a fixed reference so
-    that per-packet crystal phases do not poison learning targets or AR
-    correlation fits (Sec. 3.1).  Returns the rotated estimate and the
-    applied angle ``theta`` (i.e. ``h_canonical = exp(-j theta) * h`` where
-    ``theta`` is Eq. 8 of ``h`` against the reference).
-    """
-    theta = estimate_phase_shift(h, reference)
-    return correct_phase(h, -theta), theta

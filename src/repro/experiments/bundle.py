@@ -64,6 +64,7 @@ def build_evaluation_bundle(
     sets: list[MeasurementSet] | None = None,
     checkpoints: "ModelCheckpointRegistry | None" = None,
     vvd_seed: int = 7,
+    components: SimulationComponents | None = None,
 ) -> EvaluationBundle:
     """Generate the dataset and run the full suite over combinations.
 
@@ -73,19 +74,21 @@ def build_evaluation_bundle(
     ``cache`` resolves the measurement sets through the campaign's
     content-addressed dataset cache instead of regenerating them, and
     ``sets`` short-circuits resolution entirely with already-loaded
-    measurement sets (they must belong to ``config``).  ``checkpoints``
+    measurement sets (they must belong to ``config``).  ``components``
+    (built from ``config``) go with them, so a caller that just
+    generated the sets builds the components once.  ``checkpoints``
     resolves every per-combination VVD training through the campaign's
     content-addressed model registry, so a warmed registry rebuilds the
     bundle without retraining a single CNN — provided ``vvd_seed``
     matches the seed the registry was warmed with (``repro train
     --seed``).
     """
-    components = build_components(config)
+    components = components or build_components(config)
     if sets is not None:
         sets = list(sets)
     elif cache is not None:
         sets = cache.load_or_generate(
-            config, workers=workers, verbose=verbose
+            config, workers=workers, verbose=verbose, components=components
         )
     else:
         sets = generate_dataset(

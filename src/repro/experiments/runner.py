@@ -18,7 +18,7 @@ each slot's packets in one call.  The per-packet scalar decode
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -309,28 +309,3 @@ class EvaluationRunner:
         return CombinationResult(
             combination=combination, techniques=results
         )
-
-    def run_combinations(
-        self,
-        combinations: Sequence[SetCombination],
-        estimator_factory: Callable[[], Sequence[ChannelEstimator]],
-        skip_initial: int | None = None,
-        verbose: bool = False,
-    ) -> list[CombinationResult]:
-        """Evaluate a fresh estimator suite per combination.
-
-        A factory is required because data-driven techniques (VVD, Kalman)
-        must be re-fit for every train/validation/test split.
-        """
-        results = []
-        for combination in combinations:
-            estimators = estimator_factory()
-            results.append(
-                self.run_combination(
-                    combination,
-                    estimators,
-                    skip_initial=skip_initial,
-                    verbose=verbose,
-                )
-            )
-        return results

@@ -11,7 +11,6 @@ Data layout is NHWC; all math is float64 for numerical robustness.
 
 from .initializers import glorot_uniform, zeros_init
 from .layers import (
-    CONV_IMPLEMENTATIONS,
     AveragePooling2D,
     BatchNorm2D,
     Conv2D,
@@ -23,9 +22,8 @@ from .layers import (
     ReLU,
 )
 from .losses import MeanSquaredError
-from .optimizers import SGD, Adam, Nadam, Optimizer
+from .optimizers import Adam, Nadam, Optimizer
 from .model import Sequential, TrainingHistory
-from .gradcheck import numerical_gradient, check_layer_gradients
 
 __all__ = [
     "glorot_uniform",
@@ -36,17 +34,13 @@ __all__ = [
     "ReLU",
     "Flatten",
     "Conv2D",
-    "CONV_IMPLEMENTATIONS",
     "AveragePooling2D",
     "MaxPooling2D",
     "BatchNorm2D",
     "MeanSquaredError",
     "Optimizer",
-    "SGD",
     "Adam",
     "Nadam",
     "Sequential",
     "TrainingHistory",
-    "numerical_gradient",
-    "check_layer_gradients",
 ]

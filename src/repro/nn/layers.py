@@ -8,14 +8,14 @@ Every layer follows the same contract:
 - ``backward(grad)`` consumes the cache and returns the input gradient,
   accumulating parameter gradients into :class:`Parameter` slots.
 
-Convolutions default to an im2col formulation: the input patches are
+Convolutions use an im2col formulation: the input patches are
 materialized once per forward pass (via stride tricks) so the forward
 pass, the weight gradient and the input gradient each collapse into a
-single large GEMM.  The original per-kernel-position shifted-matmul
-implementation survives as ``conv_impl="reference"`` and is used by the
-equivalence suite to pin the im2col path down to 1e-10.  Models default
-to float32 (the paper's GPU precision); the gradient-check tests build
-float64 stacks.
+few large GEMMs.  The seed's per-kernel-position shifted-matmul
+convolution lives on as the test oracle ``tests/oracles/conv.py``,
+which pins the im2col path down to 1e-10.  Models default to float32
+(the paper's GPU precision); the gradient-check tests build float64
+stacks.
 """
 
 from __future__ import annotations
@@ -184,29 +184,18 @@ class Flatten(Layer):
         return grad.reshape(self._input_shape)
 
 
-#: Conv2D implementations selectable per layer.
-CONV_IMPLEMENTATIONS = ("im2col", "reference")
-
-
 class Conv2D(Layer):
     """2-D convolution, valid padding, NHWC layout.
 
     ``out[b, i, j, :] = sum_{di, dj} x[b, i*s+di, j*s+dj, :] @ W[di, dj]``
 
-    Two numerically equivalent implementations are provided:
-
-    ``conv_impl="im2col"`` (default)
-        Width-axis im2col via stride tricks: one contiguous
-        ``(B, H, Wo, kw*C)`` window gather per forward pass, after
-        which forward, weight gradient and input gradient each run as
-        ``kh`` batched GEMMs over contiguous row blocks (the input
-        gradient is followed by a ``kw``-step col2im fold).  See the
-        implementation-section comment for why the gather stays an
-        order of magnitude smaller than a full ``(B*Ho*Wo, kh*kw*C)``
-        patch matrix.
-    ``conv_impl="reference"``
-        The original per-kernel-position shifted-matmul loop, kept as
-        the verification baseline for the equivalence suite.
+    Width-axis im2col via stride tricks: one contiguous ``(B, H, Wo,
+    kw*C)`` window gather per forward pass, after which forward, weight
+    gradient and input gradient each run as ``kh`` batched GEMMs over
+    contiguous row blocks (the input gradient is followed by a
+    ``kw``-step col2im fold).  See the implementation-section comment
+    for why the gather stays an order of magnitude smaller than a full
+    ``(B*Ho*Wo, kh*kw*C)`` patch matrix.
 
     ``kernel_size`` may be an int (square kernel) or an ``(kh, kw)``
     pair; ``stride`` applies to both spatial axes.
@@ -217,7 +206,6 @@ class Conv2D(Layer):
         filters: int,
         kernel_size: int | tuple[int, int] = 3,
         stride: int = 1,
-        conv_impl: str = "im2col",
     ) -> None:
         super().__init__()
         if filters < 1:
@@ -231,19 +219,12 @@ class Conv2D(Layer):
             )
         if stride < 1:
             raise ShapeError(f"stride must be >= 1, got {stride}")
-        if conv_impl not in CONV_IMPLEMENTATIONS:
-            raise ShapeError(
-                f"conv_impl must be one of {CONV_IMPLEMENTATIONS}, "
-                f"got {conv_impl!r}"
-            )
         self.filters = filters
         self.kernel_size = (kh, kw)
         self.stride = stride
-        self.conv_impl = conv_impl
         self.weight: Parameter | None = None
         self.bias: Parameter | None = None
         self._cache_cols: np.ndarray | None = None
-        self._cache_slices: list[np.ndarray] | None = None
         self._cache_input_shape: tuple[int, ...] | None = None
 
     def _output_hw(self, h: int, w: int) -> tuple[int, int]:
@@ -301,21 +282,16 @@ class Conv2D(Layer):
     def forward(self, x, training=False):
         """Valid convolution of the NHWC batch ``x``.
 
-        The im2col path computes every frame with its own GEMMs, so a
-        frame's output bits do not depend on the rest of the batch; the
-        reference path runs one GEMM across the batch.
+        Every frame is computed with its own GEMMs, so a frame's output
+        bits do not depend on the rest of the batch.
         """
         self._require_built()
         ho, wo = self._check_spatial(x)
         self._cache_input_shape = x.shape
-        if self.conv_impl == "reference":
-            return self._forward_reference(x, ho, wo)
         return self._forward_im2col(x, ho, wo)
 
     def backward(self, grad):
         """Accumulate kernel/bias gradients; the input gradient."""
-        if self.conv_impl == "reference":
-            return self._backward_reference(grad)
         return self._backward_im2col(grad)
 
     def backward_params_only(self, grad):
@@ -325,8 +301,6 @@ class Conv2D(Layer):
         first layer of a stack, whose input gradient nobody consumes.
         Returns ``None``.
         """
-        if self.conv_impl == "reference":
-            return self._backward_reference(grad, need_input_grad=False)
         return self._backward_im2col(grad, need_input_grad=False)
 
     # -- im2col path ------------------------------------------------------
@@ -337,9 +311,9 @@ class Conv2D(Layer):
     # kernel-row dimension rides the batched-GEMM axis: forward, weight
     # gradient and input gradient are each ``kh`` matmuls over contiguous
     # row blocks instead of ``kh*kw`` shifted matmuls with per-shift
-    # copies.  This keeps the GEMM reduction depth at ``kw*C`` (vs the
-    # reference's ``C``), which is what makes the small-channel layers of
-    # the VVD CNN fast on a CPU.
+    # copies.  This keeps the GEMM reduction depth at ``kw*C`` (vs ``C``
+    # for one matmul per kernel position), which is what makes the
+    # small-channel layers of the VVD CNN fast on a CPU.
 
     def _row_windows(self, x) -> np.ndarray:
         """Contiguous ``(B, H, Wo, kw*C)`` width-window gather of ``x``."""
@@ -360,9 +334,8 @@ class Conv2D(Layer):
         rows = self._row_windows(x)
         self._cache_cols = rows
         w_rows = self.weight.value.reshape(kh, kw * c, self.filters)
-        # Allocate in the parameter dtype (as the reference path does):
-        # a float64 input through a float32-built layer must not widen
-        # the activations downstream.
+        # Allocate in the parameter dtype: a float64 input through a
+        # float32-built layer must not widen the activations downstream.
         out = np.empty(
             (b, ho, wo, self.filters), dtype=self.bias.value.dtype
         )
@@ -406,63 +379,6 @@ class Conv2D(Layer):
                 :, :, :, dj, :
             ]
         self._cache_cols = None
-        return dx
-
-    # -- reference path ---------------------------------------------------
-    def _forward_reference(self, x, ho, wo):
-        kh, kw = self.kernel_size
-        s = self.stride
-        b, h, w, c = x.shape
-        # One contiguous (B*Ho*Wo, C) copy per kernel shift feeds a single
-        # large GEMM, which is far faster than batched small matmuls.
-        slices = []
-        out_flat = np.empty(
-            (b * ho * wo, self.filters), dtype=self.bias.value.dtype
-        )
-        out_flat[:] = self.bias.value
-        for di in range(kh):
-            for dj in range(kw):
-                x_slice = np.ascontiguousarray(
-                    x[
-                        :,
-                        di : di + s * (ho - 1) + 1 : s,
-                        dj : dj + s * (wo - 1) + 1 : s,
-                        :,
-                    ]
-                ).reshape(-1, c)
-                slices.append(x_slice)
-                out_flat += x_slice @ self.weight.value[di, dj]
-        self._cache_slices = slices
-        return out_flat.reshape(b, ho, wo, self.filters)
-
-    def _backward_reference(self, grad, need_input_grad=True):
-        kh, kw = self.kernel_size
-        s = self.stride
-        b, h, w, c = self._cache_input_shape
-        ho, wo = self._output_hw(h, w)
-        grad_flat = np.ascontiguousarray(grad).reshape(-1, self.filters)
-        self.bias.grad += grad_flat.sum(axis=0)
-        dx = (
-            np.zeros((b, h, w, c), dtype=grad.dtype)
-            if need_input_grad
-            else None
-        )
-        index = 0
-        for di in range(kh):
-            for dj in range(kw):
-                x_slice = self._cache_slices[index]
-                index += 1
-                self.weight.grad[di, dj] += x_slice.T @ grad_flat
-                if dx is None:
-                    continue
-                dx_slice = grad_flat @ self.weight.value[di, dj].T
-                dx[
-                    :,
-                    di : di + s * (ho - 1) + 1 : s,
-                    dj : dj + s * (wo - 1) + 1 : s,
-                    :,
-                ] += dx_slice.reshape(b, ho, wo, c)
-        self._cache_slices = None
         return dx
 
 

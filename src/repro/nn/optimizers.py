@@ -1,4 +1,4 @@
-"""First-order optimizers: SGD, Adam, and the paper's Nadam.
+"""First-order optimizers: Adam and the paper's Nadam.
 
 The paper uses Nadam with initial learning rate 1e-4 and a multiplicative
 decay to 0.996x after every epoch (Sec. 4); the epoch schedule is applied
@@ -134,25 +134,6 @@ class Optimizer:
     ) -> None:
         """Elementwise in-place update of one flattened group."""
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Plain (optionally momentum) stochastic gradient descent."""
-
-    def __init__(self, learning_rate: float = 1e-2, momentum: float = 0.0):
-        super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ShapeError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-
-    def _update_group(self, value, grad, state):
-        if self.momentum > 0:
-            velocity = state.setdefault("velocity", np.zeros_like(value))
-            velocity *= self.momentum
-            velocity -= self.learning_rate * grad
-            value += velocity
-        else:
-            value -= self.learning_rate * grad
 
 
 class Adam(Optimizer):

@@ -14,9 +14,10 @@ The batch engine exploits that structure twice:
    template term (a second matmul) plus per-span corrections, so no
    per-packet FFT over the full waveform is ever taken.
 
-Everything matches the scalar pipeline to numerical precision; the
-per-packet noise is drawn from the identical per-seed generators, so the
-``synthesize_received`` replay contract is preserved bit-exactly.
+Everything matches the seed's scalar pipeline (the test oracles of
+``tests/oracles``) to numerical precision; the per-packet noise is drawn
+from the identical per-seed generators, so a recorded packet replays
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class BatchPhyEngine:
     row — in ``complex128`` and reproduce the scalar pipeline row by
     row: ``tests/test_batch_equivalence.py`` asserts agreement within
     ``1e-10`` absolute tolerance for waveforms and LS estimates, and the
-    per-seed AWGN draws are bit-exact (the ``synthesize_received``
-    replay contract).
+    per-seed AWGN draws are bit-exact (the replay contract of
+    :func:`repro.dataset.generator.synthesize_received_batch`).
 
     Parameters
     ----------
@@ -232,8 +233,11 @@ class BatchPhyEngine:
         noise_power: float,
         reuse_buffer: bool = False,
     ) -> np.ndarray:
-        """Batched equivalent of :func:`repro.dataset.generator.
-        synthesize_received` — identical per-seed noise realizations.
+        """Received rows of a packet batch, one per recorded packet.
+
+        ``conv(x_p, h_p)`` rotated by each packet's phase plus the AWGN
+        its seed draws — the same per-seed noise realizations as the
+        seed's per-packet synthesis.
 
         Parameters
         ----------
@@ -314,9 +318,10 @@ class BatchPhyEngine:
         -------
         numpy.ndarray
             ``(P, num_taps)`` complex128 tap matrix; row ``p`` matches
-            ``ls_channel_estimate(x_p, received[p], N, mode="full")``
-            within ``1e-10`` without materializing any per-packet
-            reference ``x_p``.
+            the whole-packet LS estimate of ``received[p]`` against
+            ``x_p`` (the oracle ``ls_channel_estimate(x_p, received[p],
+            N, mode="full")``) within ``1e-10`` without materializing
+            any per-packet reference ``x_p``.
         """
         from ..dsp.estimation import solve_ls_normal_equations
 

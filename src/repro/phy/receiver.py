@@ -32,7 +32,7 @@ from ..dsp.equalization import (
     equalizer_delay,
     zero_forcing_equalizer,
 )
-from ..dsp.estimation import ls_channel_estimate, valid_ls_operator
+from ..dsp.estimation import valid_ls_operator
 from ..dsp.phase import estimate_waveform_phase_shift
 from ..errors import ShapeError
 from .frame import FrameLayout, parse_psdu, psdu_from_symbols
@@ -100,20 +100,15 @@ class Receiver:
             received, self._reference_shr, self.config.sync_search_window
         )
 
-    def detect_preamble(self, received: np.ndarray) -> tuple[bool, float]:
-        """Preamble detection via the normalized sync-peak metric.
-
-        Detection fails in deep fades, which is what holds the
-        preamble-based technique back in Fig. 12.
-        """
-        sync = self.synchronize(received)
-        detected = sync.metric >= self.config.preamble_detection_threshold
-        return detected, sync.metric
-
     def detect_preamble_batch(
         self, received: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise :meth:`detect_preamble`; ``(detected, metrics)``."""
+        """Preamble detection per row via the normalized sync-peak metric.
+
+        Returns ``(detected, metrics)``.  Detection fails in deep fades,
+        which is what holds the preamble-based technique back in
+        Fig. 12.
+        """
         _, metrics = self.synchronize_batch(received)
         detected = metrics >= self.config.preamble_detection_threshold
         return detected, metrics
@@ -131,39 +126,21 @@ class Receiver:
             self._preamble_operators[num_taps] = operator
         return operator
 
-    def preamble_ls_estimate(
-        self, received: np.ndarray, num_taps: int
-    ) -> np.ndarray:
-        """LS estimate from the SHR region only (Fig. 9, preamble-based)."""
-        region = self.layout.shr_samples
-        return ls_channel_estimate(
-            self._reference_shr,
-            received[:region],
-            num_taps,
-            mode="valid",
-        )
-
     def preamble_ls_estimate_batch(
         self, received: np.ndarray, num_taps: int
     ) -> np.ndarray:
-        """Row-wise :meth:`preamble_ls_estimate` via one cached operator."""
+        """LS estimates from each row's SHR region (Fig. 9, preamble-based).
+
+        Only the steady-state samples of the SHR enter, through one
+        cached pseudo-inverse per tap count
+        (:func:`~repro.dsp.estimation.valid_ls_operator`).
+        """
         received = np.asarray(received, dtype=np.complex128)
         if received.ndim != 2:
             raise ShapeError("received batch must be 2-D")
         region = self.layout.shr_samples
         operator = self._preamble_operator(num_taps)
         return received[:, num_taps - 1 : region] @ operator.T
-
-    def full_ls_estimate(
-        self,
-        received: np.ndarray,
-        transmitted_waveform: np.ndarray,
-        num_taps: int,
-    ) -> np.ndarray:
-        """Whole-packet LS estimate — the paper's *perfect* estimate."""
-        return ls_channel_estimate(
-            transmitted_waveform, received, num_taps, mode="full"
-        )
 
     def blind_phase_shift(
         self, received: np.ndarray, estimate: np.ndarray

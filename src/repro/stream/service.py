@@ -6,7 +6,8 @@ requests from *all* links and serves them in micro-batched forward
 passes — the serving-side analogue of the batched PHY engine.
 ``benchmarks/test_stream_throughput.py`` pins the throughput at 64
 concurrent links against the per-request serving layer one would write
-on the seed codebase (reference conv engine, one forward per frame).
+on the seed codebase (the reference convolution of
+``tests/oracles/conv.py``, one forward per frame).
 :meth:`~repro.nn.model.Sequential.predict` runs the convolution stages
 over cache-sized chunks of frames, so a frame costs no more in a batch
 of 64 than alone.
@@ -235,7 +236,6 @@ class PredictionService:
         validation_sets: "Sequence[MeasurementSet]",
         horizon_frames: int = 0,
         seed: int = 7,
-        engine: str = "batch",
         verbose: bool = False,
         max_batch: int = 16,
         with_blockage_detector: bool = True,
@@ -256,7 +256,6 @@ class PredictionService:
             config,
             horizon_frames=horizon_frames,
             seed=seed,
-            engine=engine,
             verbose=verbose,
         )
         detector = None

@@ -5,8 +5,8 @@
   human is re-rendered per frame).
 - :mod:`repro.vision.rendering` — vectorized ray/primitive intersections
   (axis-aligned planes and boxes, the vertical human cylinder).
-- :mod:`repro.vision.preprocessing` — the Fig. 7 pipeline: downsample by
-  10 and crop to 50x90.
+- :mod:`repro.vision.preprocessing` — depth normalization of the
+  cropped 50x90 CNN input (Fig. 7).
 - :mod:`repro.vision.synchronization` — the Fig. 3 LED-blink matching of
   camera frames to packets.
 """
@@ -17,13 +17,7 @@ from .rendering import (
     ray_cylinder_intersection,
     ray_room_intersection,
 )
-from .preprocessing import (
-    block_downsample,
-    crop_depth,
-    preprocess_depth,
-    preprocess_720p,
-    normalize_depth,
-)
+from .preprocessing import normalize_depth
 from .synchronization import FrameTimeline, match_packet_to_frame
 
 __all__ = [
@@ -31,10 +25,6 @@ __all__ = [
     "ray_box_intersection",
     "ray_cylinder_intersection",
     "ray_room_intersection",
-    "block_downsample",
-    "crop_depth",
-    "preprocess_depth",
-    "preprocess_720p",
     "normalize_depth",
     "FrameTimeline",
     "match_packet_to_frame",

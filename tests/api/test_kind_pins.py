@@ -25,6 +25,7 @@ from repro.api import (
     TrainJob,
     prepare,
 )
+from repro.campaign.cache import config_fingerprint
 from repro.dataset import generator
 
 #: (spec, job id, step count, DAG digest).
@@ -136,13 +137,17 @@ def test_job_id_and_dag_do_not_move(tmp_path, spec, job_id, num_steps, dag):
     assert _dag(handle) == dag
 
 
-def test_cold_sweep_builds_components_once_per_point(tmp_path, monkeypatch):
-    """``dataset@<snr>`` hands its components to ``eval@<snr>``."""
+def _record_builds(monkeypatch, label) -> list:
+    """``label(config)`` of every ``build_components`` call, in order.
+
+    The function is replaced in every ``repro`` module that bound it by
+    name, so no caller escapes the count.
+    """
     original = generator.build_components
-    snrs = []
+    calls = []
 
     def counting(config):
-        snrs.append(config.channel.snr_db)
+        calls.append(label(config))
         return original(config)
 
     for name, module in list(sys.modules.items()):
@@ -151,6 +156,12 @@ def test_cold_sweep_builds_components_once_per_point(tmp_path, monkeypatch):
             and getattr(module, "build_components", None) is original
         ):
             monkeypatch.setattr(module, "build_components", counting)
+    return calls
+
+
+def test_cold_sweep_builds_components_once_per_point(tmp_path, monkeypatch):
+    """``dataset@<snr>`` hands its components to ``eval@<snr>``."""
+    snrs = _record_builds(monkeypatch, lambda config: config.channel.snr_db)
     handle = prepare(
         SweepJob(scenario="smoke", suite="quick"), cache_dir=str(tmp_path)
     )
@@ -158,3 +169,31 @@ def test_cold_sweep_builds_components_once_per_point(tmp_path, monkeypatch):
     assert outcome.exit_code == 0
     assert handle.cache.stats.sets_generated > 0
     assert sorted(snrs) == [6.0, 9.5, 12.0]
+
+
+def test_cold_figure_builds_components_once(tmp_path, monkeypatch):
+    """The ``dataset`` step hands its components to the bundle."""
+    keys = _record_builds(monkeypatch, config_fingerprint)
+    handle = prepare(
+        FigureJob(names=("table2",), scenario="tiny", combinations=1),
+        cache_dir=str(tmp_path / "cache"),
+        model_dir=str(tmp_path / "models"),
+    )
+    assert handle.run().exit_code == 0
+    assert handle.cache.stats.sets_generated > 0
+    assert keys == ["e309363ebc0f1638"]
+
+
+def test_cold_stream_builds_components_once_per_config(
+    tmp_path, monkeypatch
+):
+    """The ``links`` step hands its components to the simulator."""
+    keys = _record_builds(monkeypatch, config_fingerprint)
+    handle = prepare(
+        StreamJob(links=2, slots=12),
+        cache_dir=str(tmp_path / "cache"),
+        model_dir=str(tmp_path / "models"),
+    )
+    assert handle.run().exit_code == 0
+    assert handle.cache.stats.sets_generated > 0
+    assert sorted(keys) == ["67019176a859dec4", "a602e225613ae344"]

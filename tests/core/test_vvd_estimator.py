@@ -7,9 +7,9 @@ import pytest
 
 from repro.core import BlockageDetector, VVDEstimator
 from repro.core.blockage import _pool_features, _sigmoid
-from repro.dataset import synthesize_received
 from repro.errors import NotFittedError
 from repro.estimation.base import PacketContext
+from tests.oracles import synthesize_received
 
 
 @pytest.fixture(scope="module")

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.dataset import (
-    paper_set_combinations,
-    rotating_set_combinations,
-    synthesize_received,
-)
+from repro.dataset import paper_set_combinations, rotating_set_combinations
 from repro.dataset.sets import SetCombination
 from repro.errors import DatasetError
+from tests.oracles import synthesize_received
 
 
 class TestPaperSetCombinations:

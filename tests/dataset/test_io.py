@@ -1,17 +1,36 @@
 """Tests for measurement-set persistence."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.dataset.io import (
-    load_dataset,
-    load_measurement_set,
-    save_dataset,
-    save_measurement_set,
-)
+from repro.dataset.io import load_measurement_set, save_measurement_set
 from repro.errors import DatasetError
+from tests.oracles import synthesize_received
+
+
+def save_dataset(sets, directory) -> list[Path]:
+    """Save a whole campaign as ``set_<k>.npz`` files."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for measurement_set in sets:
+        path = directory / f"set_{measurement_set.index:02d}.npz"
+        save_measurement_set(measurement_set, path)
+        paths.append(path)
+    return paths
+
+
+def load_dataset(directory) -> list:
+    """Load every ``set_*.npz`` in a directory, ordered by set index."""
+    directory = Path(directory)
+    files = sorted(directory.glob("set_*.npz"))
+    if not files:
+        raise DatasetError(f"no set_*.npz files in {directory}")
+    sets = [load_measurement_set(path) for path in files]
+    return sorted(sets, key=lambda s: s.index)
 
 
 class TestRoundTrip:
@@ -33,8 +52,6 @@ class TestRoundTrip:
     def test_resynthesis_after_reload(
         self, tiny_components, tiny_dataset, tmp_path
     ):
-        from repro.dataset import synthesize_received
-
         path = tmp_path / "set.npz"
         save_measurement_set(tiny_dataset[0], path)
         loaded = load_measurement_set(path)

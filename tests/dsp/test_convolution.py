@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsp import convolution_matrix, cross_correlate_full, autocorrelation
+from repro.dsp import convolution_matrix, cross_correlate_full
 from repro.errors import ShapeError
+from tests.oracles import autocorrelation
 
 
 class TestConvolutionMatrix:

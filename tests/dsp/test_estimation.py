@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsp import apply_fir_channel, ls_channel_estimate
 from repro.errors import ShapeError
+from tests.oracles import apply_fir_channel, ls_channel_estimate
 
 
 def _random_signal(rng, n):

@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsp import (
-    canonicalize_phase,
-    correct_phase,
-    estimate_phase_shift,
-    estimate_waveform_phase_shift,
-)
+from repro.dsp import correct_phase, estimate_waveform_phase_shift
 from repro.errors import ShapeError
+from tests.oracles import canonicalize_phase, estimate_phase_shift
 
 
 class TestEstimatePhaseShift:

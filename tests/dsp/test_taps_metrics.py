@@ -5,14 +5,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsp import (
-    complex_mse,
-    error_vector_magnitude,
-    fractional_delay_taps,
-    normalized_correlation,
-    synthesize_taps,
-)
+from repro.dsp import complex_mse, fractional_delay_taps, synthesize_taps
 from repro.errors import ShapeError
+
+
+# Two complex-vector metrics that no program path computes; they live
+# beside the tests that define their behaviour.
+
+
+def normalized_correlation(a: np.ndarray, b: np.ndarray) -> float:
+    """``|<a, b>| / (||a|| ||b||)`` in [0, 1]; 1 iff collinear."""
+    a = np.asarray(a, dtype=np.complex128).ravel()
+    b = np.asarray(b, dtype=np.complex128).ravel()
+    if a.shape != b.shape:
+        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
+    denom = np.linalg.norm(a) * np.linalg.norm(b)
+    if denom == 0:
+        return 0.0
+    return float(np.abs(np.vdot(b, a)) / denom)
+
+
+def error_vector_magnitude(received: np.ndarray, reference: np.ndarray) -> float:
+    """RMS EVM of an equalized constellation against its reference."""
+    received = np.asarray(received, dtype=np.complex128).ravel()
+    reference = np.asarray(reference, dtype=np.complex128).ravel()
+    if received.shape != reference.shape:
+        raise ShapeError(
+            f"shape mismatch: {received.shape} vs {reference.shape}"
+        )
+    if received.size == 0:
+        raise ShapeError("EVM of empty vectors is undefined")
+    ref_power = np.mean(np.abs(reference) ** 2)
+    if ref_power == 0:
+        raise ShapeError("reference power is zero")
+    err_power = np.mean(np.abs(received - reference) ** 2)
+    return float(np.sqrt(err_power / ref_power))
 
 
 class TestFractionalDelayTaps:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dataset import rotating_set_combinations, synthesize_received
+from repro.dataset import rotating_set_combinations
 from repro.errors import NotFittedError, ShapeError
 from repro.estimation import (
     CombinedEstimator,
@@ -17,6 +17,7 @@ from repro.estimation import (
     yule_walker,
 )
 from repro.estimation.base import PacketContext
+from tests.oracles import synthesize_received
 
 
 @pytest.fixture()

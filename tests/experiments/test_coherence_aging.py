@@ -10,6 +10,7 @@ from repro.experiments.coherence import (
     estimate_coherence_time,
     realtime_capable,
 )
+from tests.oracles import synthesize_received
 
 
 class TestCoherence:
@@ -59,7 +60,6 @@ class TestAgingEstimators:
     def test_aged_genie_lag_zero_is_genie(
         self, tiny_components, tiny_dataset
     ):
-        from repro.dataset import synthesize_received
         from repro.estimation.base import PacketContext
 
         record = tiny_dataset[0].packets[5]
@@ -75,7 +75,6 @@ class TestAgingEstimators:
         assert not estimate.needs_phase_alignment
 
     def test_aged_genie_uses_past(self, tiny_components, tiny_dataset):
-        from repro.dataset import synthesize_received
         from repro.estimation.base import PacketContext
 
         record = tiny_dataset[0].packets[5]

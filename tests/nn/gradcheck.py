@@ -1,14 +1,14 @@
 """Numerical gradient checking for layer implementations.
 
-Used by the test suite to validate every hand-derived backward pass, and
-exported as a library utility for downstream layer authors.
+The test suite validates every hand-derived backward pass of
+:mod:`repro.nn.layers` against these central differences.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .layers import Layer
+from repro.nn.layers import Layer
 
 
 def numerical_gradient(

@@ -1,11 +1,12 @@
-"""Equivalence of the im2col Conv2D path against the reference loop.
+"""Equivalence of the im2col Conv2D against the reference convolution.
 
 Mirrors the ``tests/test_batch_equivalence.py`` contract for the PHY
 engine: the im2col formulation must be a pure accelerator, agreeing
-with the per-kernel-position reference path to 1e-10 (float64) on the
-forward pass, the input gradient and every parameter gradient, across
-randomized shapes, strides and channel counts.  A timing sanity check
-asserts the im2col path actually wins on VVD-sized inputs.
+with the per-kernel-position oracle (``tests/oracles/conv.py``) to
+1e-10 (float64) on the forward pass, the input gradient and every
+parameter gradient, across randomized shapes, strides and channel
+counts.  A timing sanity check asserts the im2col path actually wins on
+VVD-sized inputs.
 """
 
 import time
@@ -13,10 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.nn import CONV_IMPLEMENTATIONS, Conv2D
+from repro.nn import Conv2D
 from repro.errors import ShapeError
+from tests.oracles import ReferenceConv2D
 
 TOL = 1e-10
+
+#: The convolution under test and its oracle, by test id.
+CONVS = {"im2col": Conv2D, "reference": ReferenceConv2D}
 
 
 def _build_pair(
@@ -24,11 +29,9 @@ def _build_pair(
 ) -> tuple[Conv2D, Conv2D]:
     """Two identically initialized layers, one per implementation."""
     layers = []
-    for impl in ("im2col", "reference"):
+    for conv in CONVS.values():
         rng = np.random.default_rng(seed)
-        layer = Conv2D(
-            filters, kernel_size, stride=stride, conv_impl=impl
-        )
+        layer = conv(filters, kernel_size, stride=stride)
         layer.build(input_shape, rng, np.float64)
         layers.append(layer)
     return layers[0], layers[1]
@@ -107,30 +110,20 @@ class TestForwardBackwardEquivalence:
 
 
 class TestDtypePolicy:
-    @pytest.mark.parametrize("impl", CONV_IMPLEMENTATIONS)
+    @pytest.mark.parametrize("impl", CONVS)
     def test_float64_input_through_float32_layer_stays_float32(
         self, impl
     ):
         """Both paths emit activations in the parameter dtype — a
         float64 input must not widen a float32-built stack."""
         rng = np.random.default_rng(0)
-        layer = Conv2D(3, 3, conv_impl=impl)
+        layer = CONVS[impl](3, 3)
         layer.build((6, 7, 2), rng, np.float32)
         out = layer.forward(rng.normal(size=(2, 6, 7, 2)))
         assert out.dtype == np.float32
 
 
 class TestImplementationSelection:
-    def test_implementations_registered(self):
-        assert set(CONV_IMPLEMENTATIONS) == {"im2col", "reference"}
-
-    def test_default_is_im2col(self):
-        assert Conv2D(4).conv_impl == "im2col"
-
-    def test_unknown_impl_rejected(self):
-        with pytest.raises(ShapeError):
-            Conv2D(4, conv_impl="winograd")
-
     def test_bad_stride_rejected(self):
         with pytest.raises(ShapeError):
             Conv2D(4, 3, stride=0)
@@ -145,11 +138,11 @@ class TestZeroSizeGuards:
         with pytest.raises(ShapeError):
             Conv2D(2, 1).build(shape, rng, np.float64)
 
-    @pytest.mark.parametrize("impl", CONV_IMPLEMENTATIONS)
+    @pytest.mark.parametrize("impl", CONVS)
     @pytest.mark.parametrize("shape", [(2, 0, 5, 1), (2, 5, 0, 1)])
     def test_forward_rejects_zero_dims(self, impl, shape):
         rng = np.random.default_rng(0)
-        layer = Conv2D(2, 1, conv_impl=impl)
+        layer = CONVS[impl](2, 1)
         layer.build((5, 5, 1), rng, np.float64)
         with pytest.raises(ShapeError):
             layer.forward(np.zeros(shape))
@@ -170,7 +163,7 @@ class TestTimingSanity:
 
         def best_step_time(impl):
             layer_rng = np.random.default_rng(1)
-            layer = Conv2D(16, 3, conv_impl=impl)
+            layer = CONVS[impl](16, 3)
             layer.build((50, 90, 1), layer_rng, np.float32)
             out = layer.forward(x, training=True)
             grad = np.ones_like(out)

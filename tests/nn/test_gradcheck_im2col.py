@@ -20,9 +20,9 @@ from repro.nn import (
     MeanSquaredError,
     ReLU,
     Sequential,
-    check_layer_gradients,
-    numerical_gradient,
 )
+from tests.nn.gradcheck import check_layer_gradients, numerical_gradient
+from tests.oracles import ReferenceConv2D
 
 _TOLERANCE = 1e-6
 
@@ -30,18 +30,18 @@ _TOLERANCE = 1e-6
 @pytest.mark.parametrize(
     "layer_factory,input_shape",
     [
-        (lambda: Conv2D(4, 3, conv_impl="im2col"), (2, 6, 7, 3)),
-        (lambda: Conv2D(2, 1, conv_impl="im2col"), (2, 4, 4, 2)),
-        (lambda: Conv2D(3, 5, conv_impl="im2col"), (1, 8, 9, 1)),
-        (lambda: Conv2D(3, (2, 4), conv_impl="im2col"), (2, 6, 8, 2)),
-        (lambda: Conv2D(3, (4, 2), conv_impl="im2col"), (2, 8, 6, 2)),
-        (lambda: Conv2D(2, (5, 1), conv_impl="im2col"), (2, 7, 4, 3)),
-        (lambda: Conv2D(4, 3, stride=2, conv_impl="im2col"), (2, 9, 11, 2)),
-        (lambda: Conv2D(2, (2, 3), stride=3, conv_impl="im2col"), (2, 10, 9, 1)),
-        (lambda: Conv2D(4, 3, conv_impl="im2col"), (1, 6, 6, 2)),
-        (lambda: Conv2D(3, (3, 2), stride=2, conv_impl="im2col"), (1, 7, 8, 1)),
-        (lambda: Conv2D(3, (2, 4), conv_impl="reference"), (2, 6, 8, 2)),
-        (lambda: Conv2D(4, 3, stride=2, conv_impl="reference"), (2, 9, 11, 2)),
+        (lambda: Conv2D(4, 3), (2, 6, 7, 3)),
+        (lambda: Conv2D(2, 1), (2, 4, 4, 2)),
+        (lambda: Conv2D(3, 5), (1, 8, 9, 1)),
+        (lambda: Conv2D(3, (2, 4)), (2, 6, 8, 2)),
+        (lambda: Conv2D(3, (4, 2)), (2, 8, 6, 2)),
+        (lambda: Conv2D(2, (5, 1)), (2, 7, 4, 3)),
+        (lambda: Conv2D(4, 3, stride=2), (2, 9, 11, 2)),
+        (lambda: Conv2D(2, (2, 3), stride=3), (2, 10, 9, 1)),
+        (lambda: Conv2D(4, 3), (1, 6, 6, 2)),
+        (lambda: Conv2D(3, (3, 2), stride=2), (1, 7, 8, 1)),
+        (lambda: ReferenceConv2D(3, (2, 4)), (2, 6, 8, 2)),
+        (lambda: ReferenceConv2D(4, 3, stride=2), (2, 9, 11, 2)),
         (lambda: Dense(5), (1, 7)),
         (lambda: ReLU(), (1, 9)),
         (lambda: Flatten(), (1, 3, 4, 2)),
@@ -83,7 +83,7 @@ def test_full_stack_gradcheck_through_im2col():
     y = rng.normal(size=(2, 4))
     model = Sequential(
         [
-            Conv2D(3, 3, conv_impl="im2col"),
+            Conv2D(3, 3),
             ReLU(),
             AveragePooling2D(2),
             Flatten(),

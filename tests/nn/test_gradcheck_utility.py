@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import Dense, numerical_gradient
+from repro.nn import Dense
+from tests.nn.gradcheck import check_layer_gradients, numerical_gradient
 
 
 class TestNumericalGradient:
@@ -45,8 +46,6 @@ class TestDetectsBrokenGradients:
     def test_catches_wrong_backward(self, rng):
         # Sabotage a Dense layer's backward pass and confirm the checker
         # reports a large error.
-        from repro.nn import check_layer_gradients
-
         class BrokenDense(Dense):
             def backward(self, grad):
                 out = super().backward(grad)

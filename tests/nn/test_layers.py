@@ -12,8 +12,8 @@ from repro.nn import (
     Flatten,
     MaxPooling2D,
     ReLU,
-    check_layer_gradients,
 )
+from tests.nn.gradcheck import check_layer_gradients
 
 _TOLERANCE = 1e-6
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import NotFittedError, ShapeError
 from repro.nn import (
-    SGD,
     Adam,
     Conv2D,
     Dense,
@@ -17,6 +16,7 @@ from repro.nn import (
     ReLU,
     Sequential,
 )
+from tests.nn.sgd import SGD
 
 
 def _linear_data(rng, n=64, d=6, k=3):

@@ -9,9 +9,9 @@ from repro.nn import (
     MeanSquaredError,
     Nadam,
     ReLU,
-    SGD,
     Sequential,
 )
+from tests.nn.sgd import SGD
 
 
 class TestOptimizersOnQuadratic:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.config import PhyConfig, ReceiverConfig
 from repro.phy import Receiver, Transmitter
+from tests.oracles import full_ls_estimate
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +54,7 @@ class TestFullChainProperties:
         h = np.zeros(11, complex)
         h[delay] = 1.0
         received = np.convolve(packet.waveform, h)
-        estimate = rx.full_ls_estimate(received, packet.waveform, 11)
+        estimate = full_ls_estimate(received, packet.waveform, 11)
         result = rx.decode_with_estimate(received, estimate)
         assert result.psdu == packet.psdu
 
@@ -67,6 +68,6 @@ class TestFullChainProperties:
         tx, rx = chain
         packet = tx.transmit(seq)
         received = scale * packet.waveform
-        estimate = rx.full_ls_estimate(received, packet.waveform, 11)
+        estimate = full_ls_estimate(received, packet.waveform, 11)
         result = rx.decode_with_estimate(received, estimate)
         assert result.psdu == packet.psdu

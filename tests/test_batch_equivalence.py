@@ -2,8 +2,9 @@
 
 The batched engine must be a pure accelerator: every ``*_batch`` path is
 asserted bit-exact (or ``allclose`` at 1e-10) against its scalar
-counterpart over randomized packets, and the seeded-noise replay
-contract of ``synthesize_received`` is pinned down explicitly.
+counterpart in ``tests/oracles`` over randomized packets, and the
+seeded-noise replay contract of ``synthesize_received`` is pinned down
+explicitly.
 """
 
 import gc
@@ -17,18 +18,22 @@ from repro.config import SimulationConfig
 from repro.dataset import (
     build_components,
     generate_measurement_set,
-    synthesize_received,
     synthesize_received_batch,
 )
 from repro.dsp import (
-    canonicalize_phase,
     canonicalize_phase_batch,
     equalizer_delay,
-    ls_channel_estimate,
     zero_forcing_equalizer,
 )
 from repro.phy import get_batch_engine
 from repro.phy.synchronization import correlate_sync, correlate_sync_batch
+from tests.oracles import (
+    canonicalize_phase,
+    generate_measurement_set_scalar,
+    ls_channel_estimate,
+    preamble_ls_estimate,
+    synthesize_received,
+)
 
 TOL = 1e-10
 
@@ -166,8 +171,8 @@ class TestPhyBatchPaths:
             packet_batch["received"], 11
         )
         for i in range(len(batch)):
-            scalar = receiver.preamble_ls_estimate(
-                packet_batch["received"][i], 11
+            scalar = preamble_ls_estimate(
+                receiver, packet_batch["received"][i], 11
             )
             assert np.allclose(batch[i], scalar, atol=TOL)
 
@@ -237,9 +242,7 @@ class TestPhyBatchPaths:
 class TestGeneratorEquivalence:
     def test_seeded_noise_reproducibility(self, tiny_components):
         """synthesize_received must replay identical samples per seed."""
-        measurement = generate_measurement_set(
-            tiny_components, 0, engine="batch"
-        )
+        measurement = generate_measurement_set(tiny_components, 0)
         record = measurement.packets[5]
         first = synthesize_received(tiny_components, record)
         second = synthesize_received(tiny_components, record)
@@ -260,12 +263,8 @@ class TestGeneratorEquivalence:
         config = SimulationConfig.tiny()
         comp_scalar = build_components(config)
         comp_batch = build_components(config)
-        set_scalar = generate_measurement_set(
-            comp_scalar, 2, engine="scalar"
-        )
-        set_batch = generate_measurement_set(
-            comp_batch, 2, engine="batch"
-        )
+        set_scalar = generate_measurement_set_scalar(comp_scalar, 2)
+        set_batch = generate_measurement_set(comp_batch, 2)
         assert np.array_equal(set_scalar.frames, set_batch.frames)
         for a, b in zip(set_scalar.packets, set_batch.packets):
             assert a.sequence_number == b.sequence_number
@@ -285,9 +284,7 @@ class TestGeneratorEquivalence:
     def test_synthesize_received_batch_matches_scalar(
         self, tiny_components
     ):
-        measurement = generate_measurement_set(
-            tiny_components, 1, engine="batch"
-        )
+        measurement = generate_measurement_set(tiny_components, 1)
         records = measurement.packets[:8]
         rows = synthesize_received_batch(tiny_components, records)
         for i, record in enumerate(records):

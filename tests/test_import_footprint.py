@@ -1,9 +1,9 @@
 """``scipy.signal`` stays out of every program path but the scalar ones.
 
 Importing ``scipy.signal`` costs about a second, and the batched
-receiver and evaluation never call it: only the scalar verification
-engine (``engine="scalar"``) and the scalar standard decoder, which
-tests use as an oracle, reach it through
+receiver and evaluation never call it: only the scalar standard decoder
+(``Receiver.decode_standard`` through ``Receiver.synchronize``) and the
+test oracles of ``tests/oracles`` reach it through
 ``repro.dsp.convolution.cross_correlate_full``.  Each check runs in a
 fresh interpreter and counts ``scipy.signal`` modules, a number that
 holds on any host where a start-up time would not.

@@ -23,14 +23,21 @@ from repro.experiments import EvaluationRunner
 def baseline_results(tiny_config, tiny_components, tiny_dataset):
     runner = EvaluationRunner(tiny_components, tiny_dataset)
     combos = rotating_set_combinations(tiny_config.dataset.num_sets)[:2]
-    estimators_factory = lambda: [
-        StandardDecoding(),
-        GroundTruth(),
-        PreambleGenie(),
-        PreviousEstimation(1, 0.1),
-        KalmanEstimator(tiny_config.kalman.default_order),
+    # A fresh suite per combination: data-driven techniques (Kalman)
+    # re-fit on every train/validation/test split.
+    return [
+        runner.run_combination(
+            combination,
+            [
+                StandardDecoding(),
+                GroundTruth(),
+                PreambleGenie(),
+                PreviousEstimation(1, 0.1),
+                KalmanEstimator(tiny_config.kalman.default_order),
+            ],
+        )
+        for combination in combos
     ]
-    return runner.run_combinations(combos, estimators_factory)
 
 
 class TestEndToEnd:

